@@ -12,12 +12,12 @@ import (
 	"ofar/internal/traffic"
 )
 
-// WarmState is a network that has finished its warm-up phase and is held as
-// a measurement parent: every Measure call forks it and runs the measurement
-// window on the fork, leaving the parent untouched. This turns the paper's
-// warm-then-measure methodology into "warm once, fork N times" — and because
-// a fork is bit-identical to the original, a measurement taken off a fork
-// equals the classic uninterrupted RunSteady run exactly.
+// WarmState is a network that has finished its warm-up phase. It is either
+// held as a measurement parent — every Measure call forks it and runs the
+// measurement window on the fork, leaving the parent untouched ("warm once,
+// fork N times") — or measured once in place by MeasureClose, which is what
+// sweep points do. Because a fork is bit-identical to the original, both
+// equal the classic uninterrupted RunSteady run exactly.
 //
 // Warm states serialize: Snapshot writes the parent's full image, and
 // WarmFromSnapshot rebuilds a warm state from one without re-simulating the
@@ -87,19 +87,23 @@ func (w *WarmState) Measure(measure int) (SteadyResult, error) {
 	return measureSteady(n, w.pattern, w.load, measure)
 }
 
-// MeasureTimed is Measure with per-phase Step timing enabled on the fork,
-// additionally returning where the measurement window's wall-clock went.
-// The result is bit-identical to Measure's — timing is observation only —
-// and the parent stays untouched either way.
-func (w *WarmState) MeasureTimed(measure int) (SteadyResult, PhaseNanos, error) {
-	n, err := w.net.Fork()
-	if err != nil {
-		return SteadyResult{}, PhaseNanos{}, err
+// MeasureClose runs one measurement window on the warm state itself and
+// closes it: the single-use counterpart of Measure for callers that measure
+// a warm state once. Skipping the fork skips a snapshot encode, a second
+// network build and a restore, and the result is identical to Measure's.
+// When phases is non-nil, per-phase Step timing is enabled for the window
+// and phases receives the window's breakdown (timing never affects the
+// result). The warm state must not be used afterwards.
+func (w *WarmState) MeasureClose(measure int, phases func(PhaseNanos)) (SteadyResult, error) {
+	defer w.Close()
+	if phases != nil {
+		w.net.EnablePhaseTimings()
 	}
-	defer n.Close()
-	n.EnablePhaseTimings()
-	res, err := measureSteady(n, w.pattern, w.load, measure)
-	return res, n.PhaseTimings(), err
+	res, err := measureSteady(w.net, w.pattern, w.load, measure)
+	if err == nil && phases != nil {
+		phases(w.net.PhaseTimings())
+	}
+	return res, err
 }
 
 // EngineDigest returns the engine's physics fingerprint: the grant digest of
@@ -119,23 +123,15 @@ func EngineDigest() uint64 { return network.EngineDigest() }
 // across execution settings.
 func CanonicalConfigJSON(cfg Config) ([]byte, error) { return network.SnapshotConfigJSON(cfg) }
 
-// sweepPoint produces one sweep point through the warm-fork path, consulting
-// the options' warm cache. It reports whether the point's warmup was skipped
-// by a cache hit.
+// sweepPoint produces one sweep point: it obtains the point's warm state
+// (consulting the options' warm cache) and measures on it in place. It
+// reports whether the point's warmup was skipped by a cache hit.
 func sweepPoint(cfg Config, ps PatternSpec, load float64, warmup, measure int, opt SweepOptions) (SteadyResult, bool, error) {
 	w, restored, err := warmFor(cfg, ps, load, warmup, opt)
 	if err != nil {
 		return SteadyResult{}, false, err
 	}
-	defer w.Close()
-	if opt.PhaseSink != nil {
-		res, ph, err := w.MeasureTimed(measure)
-		if err == nil {
-			opt.PhaseSink(ph)
-		}
-		return res, restored, err
-	}
-	res, err := w.Measure(measure)
+	res, err := w.MeasureClose(measure, opt.PhaseSink)
 	return res, restored, err
 }
 

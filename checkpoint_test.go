@@ -2,6 +2,7 @@ package ofar
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -13,68 +14,83 @@ func warmTestConfig() Config {
 	return cfg
 }
 
-// TestWarmMeasureMatchesRunSteady pins the PR's core equivalence at the API
-// surface: warming once and measuring on a fork reports the exact
-// SteadyResult of the classic uninterrupted run — every field, including
-// histogram quantiles and fault counters.
+// TestWarmMeasureMatchesRunSteady pins the core equivalence at the API
+// surface: warming once and measuring — on a fork (Measure, repeatable) or in
+// place through the sweep-point path (RunSweepPoint) — reports the exact
+// SteadyResult of the classic uninterrupted run, every field included
+// (histogram quantiles, fault counters). The sweep point is checked cold,
+// while writing its warm snapshot and when restoring it, at one and two
+// workers; with a PhaseSink it must still match, and the sink must see one
+// breakdown covering exactly the measured cycles (timing is observation only).
 func TestWarmMeasureMatchesRunSteady(t *testing.T) {
-	cfg := warmTestConfig()
 	const warmup, measure = 300, 400
+	for _, workers := range []int{1, 2} {
+		cfg := warmTestConfig()
+		cfg.Workers = workers
+		classic, err := RunSteady(cfg, Uniform(), 0.6, warmup, measure)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Run(fmt.Sprintf("w%d/fork", workers), func(t *testing.T) {
+			w, err := Warm(cfg, Uniform(), 0.6, warmup)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer w.Close()
+			// The parent is reusable: every measurement off it is identical.
+			for i := 0; i < 2; i++ {
+				forked, err := w.Measure(measure)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if forked != classic {
+					t.Fatalf("measurement %d off the warm state diverged from RunSteady:\n fork    %+v\n classic %+v", i, forked, classic)
+				}
+			}
+		})
 
-	classic, err := RunSteady(cfg, Uniform(), 0.6, warmup, measure)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w, err := Warm(cfg, Uniform(), 0.6, warmup)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer w.Close()
-	forked, err := w.Measure(measure)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if forked != classic {
-		t.Fatalf("warm-fork result diverged from RunSteady:\n fork    %+v\n classic %+v", forked, classic)
-	}
-
-	// The parent is reusable: a second measurement is identical too.
-	again, err := w.Measure(measure)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if again != classic {
-		t.Fatalf("second measurement off the same warm state diverged:\n again   %+v\n classic %+v", again, classic)
-	}
-}
-
-// TestMeasureTimedMatchesMeasure pins the phase-timing contract: MeasureTimed
-// returns the exact SteadyResult Measure does (timing is observation only)
-// plus a breakdown that accounted every measured cycle.
-func TestMeasureTimedMatchesMeasure(t *testing.T) {
-	cfg := warmTestConfig()
-	const warmup, measure = 300, 400
-	w, err := Warm(cfg, Uniform(), 0.6, warmup)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer w.Close()
-	plain, err := w.Measure(measure)
-	if err != nil {
-		t.Fatal(err)
-	}
-	timed, ph, err := w.MeasureTimed(measure)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if timed != plain {
-		t.Fatalf("timed measurement diverged from plain:\n timed %+v\n plain %+v", timed, plain)
-	}
-	if ph.Cycles != measure {
-		t.Fatalf("phase breakdown covered %d cycles, want %d", ph.Cycles, measure)
-	}
-	if ph.Events < 0 || ph.Generate < 0 || ph.Routers < 0 {
-		t.Fatalf("negative phase times: %+v", ph)
+		dir := t.TempDir()
+		for _, tc := range []struct {
+			name     string
+			opt      SweepOptions
+			restored bool
+			phases   bool
+		}{
+			{name: "cold"},
+			{name: "cold_phases", phases: true},
+			{name: "checkpoint_phases", opt: SweepOptions{CheckpointDir: dir}, phases: true},
+			{name: "restore_phases", opt: SweepOptions{RestoreDir: dir}, restored: true, phases: true},
+		} {
+			t.Run(fmt.Sprintf("w%d/%s", workers, tc.name), func(t *testing.T) {
+				var sunk []PhaseNanos
+				if tc.phases {
+					tc.opt.PhaseSink = func(ph PhaseNanos) { sunk = append(sunk, ph) }
+				}
+				got, restored, err := RunSweepPoint(cfg, Uniform(), 0.6, warmup, measure, tc.opt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if restored != tc.restored {
+					t.Fatalf("restored = %v, want %v", restored, tc.restored)
+				}
+				if got != classic {
+					t.Fatalf("sweep point diverged from RunSteady:\n point   %+v\n classic %+v", got, classic)
+				}
+				if !tc.phases {
+					return
+				}
+				if len(sunk) != 1 {
+					t.Fatalf("phase sink called %d times, want 1", len(sunk))
+				}
+				ph := sunk[0]
+				if ph.Cycles != measure {
+					t.Fatalf("phase breakdown covered %d cycles, want %d", ph.Cycles, measure)
+				}
+				if ph.Events < 0 || ph.Generate < 0 || ph.Routers < 0 {
+					t.Fatalf("negative phase times: %+v", ph)
+				}
+			})
+		}
 	}
 }
 

@@ -41,7 +41,7 @@ type scale struct {
 	restDir string // when non-empty, restore warm snapshots from here
 }
 
-// sweep runs one load sweep through the warm-fork driver, with the warm
+// sweep runs one load sweep through the warm-state driver, with the warm
 // cache when -checkpoint/-restore are set. Rows are bit-identical to the
 // classic per-point runs either way.
 func (sc scale) sweep(cfg ofar.Config, ps ofar.PatternSpec, loads []float64) ([]ofar.SteadyResult, error) {

@@ -304,8 +304,7 @@ func main() {
 			}
 		}
 		var err error
-		res, err = w.Measure(*measure)
-		w.Close()
+		res, err = w.MeasureClose(*measure, nil)
 		if err != nil {
 			fatal("simulation failed: %v", err)
 		}

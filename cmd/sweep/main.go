@@ -133,7 +133,7 @@ func main() {
 	fmt.Println("routing,pattern,load,avg_latency,net_latency,p50,p99,throughput,avg_hops,global_mis,local_mis,ring_enters,delivered,dropped,fault_reroutes")
 	for _, load := range loads {
 		// One point per call keeps the CSV streaming while every point
-		// still goes through the warm-fork path and the warm cache.
+		// still goes through the warm-state path and the warm cache.
 		rs, st, err := ofar.RunLoadSweepOpt(cfg, ps, []float64{load}, *warmup, *measure, opt)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "sweep: %v\n", err)

@@ -58,9 +58,10 @@ func RunSteady(cfg Config, ps PatternSpec, load float64, warmup, measure int) (S
 }
 
 // measureSteady runs the measurement window on an already-warm network and
-// collects the steady-state result. It is the shared tail of RunSteady and
-// WarmState.Measure: the two paths must stay field-for-field identical, which
-// is what lets a warm-fork sweep report the same rows as a classic one.
+// collects the steady-state result. It is the shared tail of RunSteady,
+// WarmState.Measure and WarmState.MeasureClose: the paths must stay field-for-
+// field identical, which is what lets a sweep report the same rows as a
+// classic run.
 func measureSteady(n *network.Network, pattern string, load float64, measure int) (SteadyResult, error) {
 	base := n.Stats
 	ringEnters0, gm0, lm0, rx0 := base.RingEnters, base.GlobalMisroutes, base.LocalMisroutes, base.RingExits
@@ -96,10 +97,10 @@ func measureSteady(n *network.Network, pattern string, load float64, measure int
 }
 
 // RunLoadSweep runs one steady-state point per load, reusing the
-// configuration. Each point warms a parent network once and measures on a
-// fork of it (see WarmState), which is bit-identical to the classic
-// warm-then-measure run and leaves the warm state reusable — pass a warm
-// cache via RunLoadSweepOpt to skip warmup entirely on later invocations.
+// configuration. Each point warms a network and measures on it in place (see
+// WarmState.MeasureClose), which is bit-identical to the classic
+// warm-then-measure run — pass a warm cache via RunLoadSweepOpt to skip
+// warmup entirely on later invocations.
 func RunLoadSweep(cfg Config, ps PatternSpec, loads []float64, warmup, measure int) ([]SteadyResult, error) {
 	out := make([]SteadyResult, 0, len(loads))
 	for _, l := range loads {
@@ -233,7 +234,7 @@ func RunLoadSweepOpt(cfg Config, ps PatternSpec, loads []float64, warmup, measur
 	return out, st, nil
 }
 
-// RunSweepPoint produces one steady-state sweep point through the warm-fork
+// RunSweepPoint produces one steady-state sweep point through the warm-state
 // path — exactly the per-point work of RunLoadSweepOpt, exposed for callers
 // that schedule points themselves (the sweep service's worker pool). The
 // returned flag reports whether the point's warm-up was skipped by a warm

@@ -358,16 +358,19 @@ func New(cfg Config) (*Network, error) {
 	}
 
 	// Routers are constructed group by group into contiguous []Router slabs,
-	// each group's slices carved from a private arena: one dragonfly group —
-	// the shard unit of ShardByGroup and the iteration unit of the
-	// group-partitioned event loop — then occupies a contiguous, cache-dense
-	// region instead of ~a·(2+ports·(4+vcs)) scattered heap objects.
+	// each group's slices carved from a private, exactly sized arena: one
+	// dragonfly group — the shard unit of ShardByGroup and the iteration unit
+	// of the group-partitioned event loop — then occupies a contiguous,
+	// cache-dense region instead of ~a·(2+ports·(4+vcs)) scattered heap
+	// objects. PAR mutates packet headers mid-Route and stays uncached; a
+	// CacheableEngine reports its Route read sets, so its routers memoize
+	// decisions (Validate guarantees ≤ 64 ports).
+	_, cacheable := n.Engine.(router.CacheableEngine)
+	routeCache := cacheable && !cfg.DisableRouteCache
 	n.Routers = make([]*router.Router, topo.Routers)
 	routerSlab := make([]router.Router, topo.Routers)
-	groupArena := make([]*router.Arena, topo.G)
-	for g := range groupArena {
-		groupArena[g] = router.NewArena()
-	}
+	sizer := router.NewSizer()
+	params := make([]router.Params, topo.A)
 	for r := 0; r < topo.Routers; r++ {
 		ports := make([]router.PortSpec, nPorts)
 		for port := 0; port < topo.RouterPorts; port++ {
@@ -425,7 +428,7 @@ func New(cfg Config) (*Network, error) {
 			pb = boards[topo.GroupOf(r)]
 		}
 		n.Routers[r] = &routerSlab[r]
-		router.NewInto(n.Routers[r], router.Params{
+		params[topo.LocalIndex(r)] = router.Params{
 			ID:          r,
 			Topo:        topo,
 			PktSize:     cfg.PacketSize,
@@ -435,17 +438,10 @@ func New(cfg Config) (*Network, error) {
 			RingOuts:    ringOuts,
 			PB:          pb,
 			PBThreshold: cfg.Adaptive.PBThreshold,
-			Arena:       groupArena[topo.GroupOf(r)],
-		})
-	}
-	if !cfg.DisableRouteCache {
-		if _, ok := n.Engine.(router.CacheableEngine); ok {
-			// The engine can report its Route read sets, so the routers can
-			// memoize decisions (Validate guarantees ≤ 64 ports). PAR mutates
-			// packet headers mid-Route and stays uncached.
-			for _, rt := range n.Routers {
-				rt.EnableRouteCache()
-			}
+		}
+		if topo.LocalIndex(r) == topo.A-1 {
+			first := r + 1 - topo.A
+			router.NewGroup(routerSlab[first:r+1], params, routeCache, sizer)
 		}
 	}
 

@@ -124,15 +124,19 @@ func (n *Network) Snapshot(w io.Writer) error {
 	n.encodePayload(&payload)
 	data := payload.Data()
 
-	var out simcore.Enc
-	out.Raw([]byte(snapMagic))
-	out.U64(SnapshotVersion)
-	out.U64(EngineDigest())
-	out.Bytes(cfgJSON)
-	out.U64(simcore.Checksum64(data))
-	out.Bytes(data)
-	if _, err := w.Write(out.Data()); err != nil {
-		return fmt.Errorf("network: snapshot write: %w", err)
+	// The header ends with the payload's length prefix (the framing of
+	// Enc.Bytes); the payload itself is written as encoded, not copied.
+	var hdr simcore.Enc
+	hdr.Raw([]byte(snapMagic))
+	hdr.U64(SnapshotVersion)
+	hdr.U64(EngineDigest())
+	hdr.Bytes(cfgJSON)
+	hdr.U64(simcore.Checksum64(data))
+	hdr.Int(len(data))
+	for _, b := range [][]byte{hdr.Data(), data} {
+		if _, err := w.Write(b); err != nil {
+			return fmt.Errorf("network: snapshot write: %w", err)
+		}
 	}
 	return nil
 }

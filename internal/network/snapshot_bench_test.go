@@ -67,7 +67,8 @@ func BenchmarkSnapshotRestore(b *testing.B) {
 }
 
 // BenchmarkSnapshotFork measures the full fork cycle — snapshot, rebuild,
-// restore, close — the fixed cost each warm-fork measurement point pays.
+// restore, close — the fixed cost of each measurement taken off a held warm
+// parent (WarmState.Measure).
 func BenchmarkSnapshotFork(b *testing.B) {
 	n := benchWarmNet(b)
 	b.ReportAllocs()

@@ -49,12 +49,6 @@ type Params struct {
 	// routing mechanism does not use it).
 	PB          *FlagBoard
 	PBThreshold float64
-
-	// Arena, when non-nil, backs every slice the router allocates (ports,
-	// VC buffers, queue backings, arbiter rows, allocator scratch, cache
-	// masks). The network hands all routers of one dragonfly group the same
-	// arena so a group's hot state is contiguous; nil keeps plain make.
-	Arena *Arena
 }
 
 // Router is one input-buffered VCT router.
@@ -158,7 +152,7 @@ type Router struct {
 	allOut  uint64
 
 	// arena backs late slice allocations (EnableRouteCache) with the same
-	// group slab the constructor used; nil for bare test routers.
+	// group slabs the constructor used; nil for bare test routers.
 	arena *Arena
 
 	// prefetchSink absorbs the head-prefetch pass's reads (see Cycle) so the
@@ -167,20 +161,45 @@ type Router struct {
 	prefetchSink int64
 }
 
-// New builds a router from its parameter block.
+// New builds a router from its parameter block, its slices on the heap.
 func New(p Params) *Router {
 	r := new(Router)
-	NewInto(r, p)
+	newInto(r, p, nil)
 	return r
 }
 
-// NewInto initializes a router in place. The network uses it to construct
-// all routers of a group into one contiguous []Router slab (with p.Arena
-// backing their slices), so the group's entire working set — the Router
-// structs and everything they point at — is carved from a few large
-// allocations in iteration order.
-func NewInto(r *Router, p Params) {
-	ar := p.Arena
+// NewGroup constructs one dragonfly group's routers in place, dst[i] from
+// ps[i], with every slice they allocate (ports, VC buffers, queue backings,
+// arbiter rows, allocator scratch and, when routeCache is set, the route
+// cache's masks) carved from one arena sized exactly for the group. The
+// network lays the routers of a group out in one contiguous []Router, so
+// the group's entire working set — the Router structs and everything they
+// point at — occupies a few allocations in iteration order.
+//
+// The group is built twice: first against sizer (see NewSizer), which
+// counts each type's elements while handing out scratch, then against the
+// arena Carve allocates from those counts. Both passes run the same code in
+// the same order, so the second consumes every slab exactly. Construction
+// reads its parameters only (no RNG draw, no shared board write), so the
+// first pass leaves no trace.
+func NewGroup(dst []Router, ps []Params, routeCache bool, sizer *Arena) {
+	build := func(ar *Arena) {
+		for i := range ps {
+			newInto(&dst[i], ps[i], ar)
+		}
+		if routeCache {
+			for i := range dst {
+				dst[i].EnableRouteCache()
+			}
+		}
+	}
+	build(sizer)
+	build(sizer.Carve())
+}
+
+// newInto initializes a router in place, carving its slices from ar (nil
+// keeps plain make).
+func newInto(r *Router, p Params, ar *Arena) {
 	*r = Router{
 		ID:          p.ID,
 		Group:       p.Topo.GroupOf(p.ID),
@@ -205,6 +224,7 @@ func NewInto(r *Router, p Params) {
 	r.reqMask = ar.Uint64s(n)
 	r.outCandMask = ar.Uint64s(n)
 	total := 0
+	var ringTags []int8
 	for i, ps := range p.Ports {
 		r.vcBase[i] = int32(total)
 		in := &r.In[i]
@@ -241,12 +261,13 @@ func NewInto(r *Router, p Params) {
 			out.Peer, out.PeerPort = -1, -1
 		}
 		out.Latency = ps.Latency
-		ringTags := make([]int8, len(ps.OutCaps))
-		for vc := range ringTags {
-			ringTags[vc] = -1
+		ringTags = ringTags[:0]
+		for vc := range ps.OutCaps {
+			tag := int8(-1)
 			if ps.OutRing != nil {
-				ringTags[vc] = int8(ps.OutRing[vc])
+				tag = int8(ps.OutRing[vc])
 			}
+			ringTags = append(ringTags, tag)
 		}
 		out.initOut(ar, ps.OutCaps, ringTags)
 		r.inArb[i].initLRS(ar, len(ps.InCaps))
@@ -289,6 +310,10 @@ func (r *Router) EnableRouteCache() {
 	r.allOut = ^uint64(0) >> uint(64-len(r.Out))
 	r.nextFree = math.MaxInt64
 }
+
+// Arena returns the arena backing the router's slices (nil for routers
+// built by New).
+func (r *Router) Arena() *Arena { return r.arena }
 
 // NoteOutMutated records that an output port's credit or peer state was
 // rewritten outside the normal commit/refund paths (escape-ring splice

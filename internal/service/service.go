@@ -29,7 +29,7 @@ import (
 )
 
 // PointRunner computes one sweep point. The default is ofar.RunSweepPoint
-// (the warm-fork path RunLoadSweepOpt uses); tests substitute counting or
+// (the warm-state path RunLoadSweepOpt uses); tests substitute counting or
 // blocking runners.
 type PointRunner func(cfg ofar.Config, ps ofar.PatternSpec, load float64, warmup, measure int, opt ofar.SweepOptions) (ofar.SteadyResult, bool, error)
 
@@ -380,9 +380,10 @@ func (s *Server) point(rs *reqState, res resolved, key uint64, index int) PointR
 
 // sweepOptions builds the per-point SweepOptions: serial within the point
 // (the pool provides cross-point concurrency); with a disk directory
-// configured, the shared warm-snapshot cache so long points warm once and
-// fork per load across requests; and the metrics phase sink, so /metrics
-// can report where the service's simulation seconds go per Step phase.
+// configured, the shared warm-snapshot cache so a long point's warm-up runs
+// once and later requests for it restore the warm state instead; and the
+// metrics phase sink, so /metrics can report where the service's simulation
+// seconds go per Step phase.
 func (s *Server) sweepOptions() ofar.SweepOptions {
 	return ofar.SweepOptions{
 		Parallel:      1,

@@ -57,29 +57,29 @@ bench-json:
 		| $(GO) run ./cmd/benchjson -phases \
 		-note "Snapshot* rows are the checkpoint layer: encode/restore a warm h=3 image (~0.7 MB) in ~3 ms, full Fork ~9 ms — the fixed cost each warm-fork sweep point pays." \
 		-note "warm-cache sweep speedup: sweep -h 3 -points 5 -warmup 3000 -measure 1000 with -checkpoint/-restore dropped 1.43 s -> 0.53 s (~2.7x) on the second invocation, restoring all 5 points and skipping 15000 warmup cycles; CSV rows bit-identical (TestWarmCacheSweep)." \
-		-note "h6 rows are the full-scale regime (876 routers): serial vs ShardByGroup+4 workers through the production cutover (on a single-P host both take the serial path; on multicore the shard rows dispatch whole groups to the pool, bit-identically — TestH6ShardedSmoke). The group-sharding PR cut the saturated (load=0.90) h=6 serial step from 6.84 ms (min of 3, pre-PR engine on this machine) to 4.35-4.9 ms (~1.5x on the min-fold) via per-group SoA arenas, block-carved packet allocation, the Cycle head/arbiter prefetch pass and the serial event-loop lookahead." \
+		-note "h6 rows are the full-scale regime (876 routers): inline (serial rows) vs a 4-worker pool (shard4 rows) through the production cutover (on a single-P host both run inline; on multicore the shard4 rows dispatch whole groups to the pool, bit-identically — TestH6ShardedSmoke). The group-sharding change cut the saturated (load=0.90) h=6 serial step from 6.84 ms (min of 3, previous engine on this machine) to 4.35-4.9 ms (~1.5x on the min-fold) via per-group SoA arenas, block-carved packet allocation, the Cycle head/arbiter prefetch pass and an event-loop lookahead (since removed: no measurable gain in a later A/B)." \
 		-note "h8 rows are the stretch regime the sharded injection front-end opened (a=16, 129 groups, 2064 routers, 16512 nodes): load edges only, 500-cycle warm-up — a cost tracker, not the paper protocol. StepPhases rows carry the per-phase breakdown (see the phases map); the host block records the machine shape the numbers were taken on." \
 		-note "injection-shard no-regression check: interleaved same-day A/B of the pre-shard engine vs this one on h6/load=0.90/serial (8 samples each, 1s benchtime) gave old min 4.78 ms / new min 4.87 ms with overlapping spreads and a slightly better new-engine mean — parity within this box's ±8% noise; bytes/op rose ~2 KB from the per-group packet pools (allocs/op unchanged at 6)." \
 		> BENCH_step.json
 	@cat BENCH_step.json
 
-# Full-scale h=6 Step rows only (876 routers; serial vs group-sharded):
-# the headline numbers of the sharded engine and the default figure regime
-# since ShardByGroup. Warm-up dominates (2000 full-size cycles per row).
+# Full-scale h=6 Step rows only (876 routers; inline vs a 4-worker pool):
+# the headline numbers of the group-sharded engine and the default figure
+# regime. Warm-up dominates (2000 full-size cycles per row).
 bench-h6:
 	$(GO) test ./internal/network -run '^$$' -bench 'StepByLoad/h6' -benchmem -benchtime $(BENCH_TIME) -count $(BENCH_COUNT) -timeout $(BENCH_TIMEOUT)
 
 # Stretch-regime h=8 Step rows (a=16, 129 groups, 2064 routers, 16512 nodes;
-# serial vs group-sharded): the regime the sharded injection front-end
+# inline vs a 4-worker pool): the regime the pooled injection front-end
 # opened. Load edges only — see BenchmarkStepByLoad for why.
 bench-h8:
 	$(GO) test ./internal/network -run '^$$' -bench 'StepByLoad/h8' -benchmem -benchtime $(BENCH_TIME) -count $(BENCH_COUNT) -timeout $(BENCH_TIMEOUT)
 
 # Rebuild every golden trace fixture (testdata/golden_*.json) from the
-# serial reference engine. Run after a deliberate physics change — e.g. a
-# new RNG derivation order — then inspect the diff; the non-serial variants
+# inline run. Run after a deliberate physics change — e.g. a new RNG
+# derivation order — then inspect the diff; the other execution variants
 # still compare against the rewritten file in the same run, so a divergence
-# between engines fails even while regenerating.
+# between them fails even while regenerating.
 golden-regen:
 	$(GO) test ./internal/network -run TestGoldenTrace -update-golden -count=1
 
@@ -97,10 +97,10 @@ figures:
 	$(GO) run ./cmd/experiments -fig all -h 3 -points 8 -svg figures | tee experiments_h3.txt
 
 # Paper-scale (h=6, 5256 nodes) headline figure — the routine regime since
-# the group-sharded Step; -workers/-shard engage the sharded engine on
-# multicore hosts (bit-identical results either way).
+# the group-sharded Step; -workers runs each network's groups on a worker
+# pool on multicore hosts (bit-identical results either way).
 figures-h6:
-	$(GO) run ./cmd/experiments -fig fig5 -h 6 -points 6 -workers 4 -shard
+	$(GO) run ./cmd/experiments -fig fig5 -h 6 -points 6 -workers 4
 
 # Run the sweep service: HTTP/JSON experiment requests with a
 # determinism-backed result cache (see docs/ARCHITECTURE.md "The sweep

@@ -33,9 +33,8 @@ type scale struct {
 	maxCyc  int
 	seed    uint64
 	svgDir  string // when non-empty, write an SVG per figure
-	workers int    // intra-network router-stage pool workers (0/1 = serial)
-	shard   bool   // shard each cycle by dragonfly group across the workers
-	cutover int    // serial/parallel cutover (0 = auto-calibrate)
+	workers int    // intra-network pool workers (0/1 = inline)
+	cutover int    // inline/pool cutover (0 = auto-calibrate)
 	faults  []ofar.Fault
 	ckptDir string // when non-empty, write per-point warm snapshots here
 	restDir string // when non-empty, restore warm snapshots from here
@@ -64,15 +63,14 @@ func main() {
 		seed   = flag.Uint64("seed", 1, "random seed")
 		points = flag.Int("points", 8, "load points per sweep")
 		svgDir = flag.String("svg", "", "directory to write one SVG chart per figure (optional)")
-		work   = flag.Int("workers", 0, "router-stage pool workers per network (0/1 = serial; bit-identical results, useful at h=6)")
-		shard  = flag.Bool("shard", false, "shard each network's cycle by dragonfly group across the workers (needs -workers > 1; bit-identical)")
-		cut    = flag.Int("cutover", 0, "active-router count below which a parallel step runs serially (0 = auto)")
+		work   = flag.Int("workers", 0, "pool workers per network, at most one per group (0/1 = inline; bit-identical results, useful at h=6)")
+		cut    = flag.Int("cutover", 0, "work size (active routers, due events) below which a pooled phase runs inline (0 = auto)")
 		faults = flag.String("faults", "", "fault schedule applied to every run: a JSON file of Fault objects, or inline like link@5000:12:7")
 		ckpt   = flag.String("checkpoint", "", "directory to write per-point warm snapshots into (reuse with -restore)")
 		rest   = flag.String("restore", "", "directory of warm snapshots: sweep points found there skip warmup, bit-identically")
 	)
 	flag.Parse()
-	sc := scale{h: *h, warmup: *warm, measure: *meas, burst: *burst, maxCyc: 50_000_000, seed: *seed, svgDir: *svgDir, workers: *work, shard: *shard, cutover: *cut, ckptDir: *ckpt, restDir: *rest}
+	sc := scale{h: *h, warmup: *warm, measure: *meas, burst: *burst, maxCyc: 50_000_000, seed: *seed, svgDir: *svgDir, workers: *work, cutover: *cut, ckptDir: *ckpt, restDir: *rest}
 	if *faults != "" {
 		fs, err := ofar.LoadFaults(*faults)
 		check(err)
@@ -268,7 +266,6 @@ func cfgFor(sc scale, rt ofar.Routing) ofar.Config {
 	cfg := ofar.DefaultConfig(sc.h)
 	cfg.Seed = sc.seed
 	cfg.Workers = sc.workers
-	cfg.ShardByGroup = sc.shard
 	cfg.ParallelCutover = sc.cutover
 	cfg.Routing = rt
 	cfg.Faults = sc.faults

@@ -117,19 +117,19 @@ func RunLoadSweep(cfg Config, ps PatternSpec, loads []float64, warmup, measure i
 // point. Results are identical to RunLoadSweep: every point builds its own
 // network whose RNG streams derive only from cfg.Seed, so parallelism does
 // not perturb determinism — and neither does cfg.Workers, the intra-network
-// parallel router stage, which is bit-identical to the serial engine.
+// worker pool, which is bit-identical to running inline.
 //
 // The two levels compose, coarsely: workers bounds the sweep's concurrency
 // budget (≤ 0 uses GOMAXPROCS), and each concurrently simulated network
-// owns a resident pool of cfg.Workers router-stage workers. With the
+// owns a resident pool of cfg.PoolWidth() workers. With the
 // spawn-per-cycle engine it was right to divide the caller's budget by
 // cfg.Workers — every in-flight network really ran that many goroutines
 // every cycle. With the persistent pool that division over-throttles: pool
 // workers are resident but *parked* whenever the parallel cutover keeps a
-// step serial, which is the whole low-load half of a typical sweep, so a
+// step inline, which is the whole low-load half of a typical sweep, so a
 // small explicit budget (say 3, as the sweep tests pass) would pin the
 // sweep to one network while nearly every pool goroutine slept. The cap is
-// therefore recalibrated to the machine: max(1, GOMAXPROCS/cfg.Workers)
+// therefore recalibrated to the machine: max(1, GOMAXPROCS/cfg.PoolWidth())
 // in-flight networks — the honest bound for the steady state where every
 // network is saturated and every pool busy — further capped by an explicit
 // caller budget only when that budget is smaller.
@@ -184,21 +184,9 @@ func RunLoadSweepOpt(cfg Config, ps PatternSpec, loads []float64, warmup, measur
 		workers = runtime.GOMAXPROCS(0)
 	}
 	nets := workers
-	if cfg.Workers > 1 {
-		// Per-network worker width. Under ShardByGroup whole groups are the
-		// stealing unit, so a network can keep at most min(Workers, groups)
-		// workers busy — budgeting the raw Workers count against GOMAXPROCS
-		// would over-throttle the sweep on small-group configs (e.g. h=2 with
-		// 8-wide pools would halve the in-flight networks for workers that
-		// can never all engage).
-		width := cfg.Workers
-		if cfg.ShardByGroup {
-			groups := cfg.Groups
-			if groups == 0 {
-				groups = cfg.A*cfg.H + 1
-			}
-			width = min(width, groups)
-		}
+	if width := cfg.PoolWidth(); width > 1 {
+		// Budget each network's pool width against GOMAXPROCS so the
+		// networks in flight never oversubscribe it.
 		nets = min(workers, max(1, runtime.GOMAXPROCS(0)/width))
 	}
 	out := make([]SteadyResult, len(loads))

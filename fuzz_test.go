@@ -32,7 +32,7 @@ func FuzzParsePattern(f *testing.F) {
 	})
 }
 
-// FuzzParallelConservation drives the two-phase parallel router engine on
+// FuzzParallelConservation drives the group-sharded worker pool on
 // the tiniest dragonfly (h=1: 6 routers, 6 nodes) with fuzzed seed, offered
 // load, traffic pattern and worker count, and asserts the one invariant
 // every run must keep regardless of inputs: no packet is created or
@@ -41,7 +41,7 @@ func FuzzParsePattern(f *testing.F) {
 func FuzzParallelConservation(f *testing.F) {
 	f.Add(uint64(1), 0.3, "UN", uint8(4))
 	f.Add(uint64(42), 0.95, "ADV+1", uint8(2))
-	f.Add(uint64(7), 0.1, "MIX1", uint8(9)) // > router count: clamped
+	f.Add(uint64(7), 0.1, "MIX1", uint8(9)) // > group count: clamped
 	f.Add(uint64(999), 1.0, "BITCOMP", uint8(3))
 	f.Fuzz(func(t *testing.T, seed uint64, load float64, pattern string, workers uint8) {
 		if math.IsNaN(load) || load < 0 || load > 1 {

@@ -72,25 +72,35 @@ func TestIdleCycleIsPure(t *testing.T) {
 	}
 }
 
+// awakeRouters compacts every group's active list and counts the routers
+// left on it.
+func awakeRouters(n *Network) int {
+	total := 0
+	for g := range n.activeG {
+		total += len(n.compactGroup(g))
+	}
+	return total
+}
+
 // TestActiveSetTracksLoad watches the scheduler's active set directly: a
 // quiescent network schedules no routers, traffic wakes them, and draining
 // puts every router back to sleep.
 func TestActiveSetTracksLoad(t *testing.T) {
 	cfg := testConfig(OFAR)
 	n := mustNet(t, cfg)
-	if got := len(n.compactActive()); got != 0 {
+	if got := awakeRouters(n); got != 0 {
 		t.Fatalf("fresh network has %d active routers, want 0", got)
 	}
 	n.SetGenerator(traffic.NewBurst(traffic.NewUniform(n.Topo), 2, n.Topo.Nodes))
 	n.Run(5)
-	if got := len(n.compactActive()); got == 0 {
+	if got := awakeRouters(n); got == 0 {
 		t.Fatal("no routers awake with a burst in flight")
 	}
 	if !n.RunUntilDrained(200000) {
 		t.Fatalf("burst not drained: %d/%d", n.Stats.Delivered, n.Stats.Generated)
 	}
 	n.Run(cfg.GlobalLatency + cfg.PacketSize + 2)
-	if got := len(n.compactActive()); got != 0 {
+	if got := awakeRouters(n); got != 0 {
 		t.Fatalf("%d routers still awake after draining, want 0", got)
 	}
 	for _, r := range n.Routers {
@@ -144,9 +154,9 @@ func TestReadyVCCounterMatchesBuffers(t *testing.T) {
 // scheduler and the worker pool: h=3 cycle cost across the load range of
 // the paper's latency/throughput sweeps (most sweep points sit below
 // saturation, where the scheduler skips the bulk of the routers), with the
-// scheduler on and off, serial and with 4 and 8 pool workers. The parallel
+// scheduler on and off, inline and with 4 and 8 pool workers. The pool
 // rows exercise the cutover exactly as production runs do: low-load steps
-// fall back to the serial path, saturated steps dispatch to the pool.
+// run inline, saturated steps dispatch to the pool.
 // `make bench-json` records the numbers in BENCH_step.json.
 func BenchmarkStepByLoad(b *testing.B) {
 	for _, load := range []float64{0.05, 0.2, 0.5, 0.9, 0.99} {
@@ -182,12 +192,12 @@ func BenchmarkStepByLoad(b *testing.B) {
 	}
 
 	// Full-scale h=6 rows (876 routers, 5256 nodes): the routine figure
-	// regime since the group-sharded Step (see EXPERIMENTS.md). Serial vs
-	// ShardByGroup with 4 workers, across the low/mid/saturated loads the
-	// paper's sweeps hit; the shard rows go through the production cutover,
-	// so on a single-P host they measure the serial fall-back exactly as a
-	// production run would. Skipped under -short: each warm-up alone runs
-	// 2000 full-size cycles.
+	// regime since the group-sharded Step (see EXPERIMENTS.md). Inline
+	// ("serial") vs a 4-worker pool ("shard4"), across the low/mid/saturated
+	// loads the paper's sweeps hit; the pool rows go through the production
+	// cutover, so on a single-P host they measure the inline fall-back
+	// exactly as a production run would. Skipped under -short: each warm-up
+	// alone runs 2000 full-size cycles.
 	if testing.Short() {
 		return
 	}
@@ -197,7 +207,6 @@ func BenchmarkStepByLoad(b *testing.B) {
 				cfg := DefaultConfig(6)
 				if mode == "shard4" {
 					cfg.Workers = 4
-					cfg.ShardByGroup = true
 				}
 				n, err := New(cfg)
 				if err != nil {
@@ -216,7 +225,7 @@ func BenchmarkStepByLoad(b *testing.B) {
 	}
 
 	// Stretch-regime h=8 rows (a=16, 129 groups, 2064 routers, 16512 nodes):
-	// the regime the sharded injection front-end opened. Only the edges of the
+	// the regime the pooled injection front-end opened. Only the edges of the
 	// load range — a serial h=8 warm-up alone costs hundreds of milliseconds,
 	// so the mid-load rows would triple the suite's wall clock for numbers the
 	// h=6 rows already track. The shorter warm-up (500 cycles) reaches a
@@ -228,7 +237,6 @@ func BenchmarkStepByLoad(b *testing.B) {
 				cfg := DefaultConfig(8)
 				if mode == "shard4" {
 					cfg.Workers = 4
-					cfg.ShardByGroup = true
 				}
 				n, err := New(cfg)
 				if err != nil {
@@ -253,9 +261,10 @@ func BenchmarkStepByLoad(b *testing.B) {
 // publication, router stage) as a custom <phase>-ns/op metric next to the
 // whole-step ns/op. It is a separate benchmark rather than extra rows in
 // StepByLoad so the timing branch's clock reads never contaminate the
-// long-tracked StepByLoad baselines. The serial-vs-shard4 pair is the
-// headline the sharded injection front-end is judged by: the generate-ns
-// share must drop under shard4 while ns/op does not regress.
+// long-tracked StepByLoad baselines. The serial-vs-shard4 (inline vs
+// 4-worker pool) pair is the headline the pooled injection front-end is
+// judged by: the generate-ns share must drop under shard4 while ns/op does
+// not regress.
 func BenchmarkStepPhases(b *testing.B) {
 	if testing.Short() {
 		b.Skip("phase breakdown warms up 2000 full-size h=6 cycles per row")
@@ -266,7 +275,6 @@ func BenchmarkStepPhases(b *testing.B) {
 				cfg := DefaultConfig(6)
 				if mode == "shard4" {
 					cfg.Workers = 4
-					cfg.ShardByGroup = true
 				}
 				n, err := New(cfg)
 				if err != nil {

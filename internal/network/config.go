@@ -155,41 +155,37 @@ type Config struct {
 	OFAR     core.Config
 	Adaptive routing.AdaptiveConfig
 
-	// Workers sets the intra-cycle parallelism of the router stage: the
-	// per-router compute phase (routing decisions + switch allocation) runs
-	// on a persistent pool of this many workers (the Step caller plus
-	// Workers−1 goroutines parked between cycles), balanced over the awake
-	// routers by a work-stealing cursor, while grants are still committed
-	// serially in router-index order. Because every stochastic draw comes
-	// from a per-router RNG stream and engine clones are behaviorally
-	// identical, results are bit-identical to the serial engine for any
-	// worker count. 0 or 1 runs the classic serial loop; negative values
-	// are rejected. Networks built with Workers > 1 own goroutines: call
-	// Network.Close when done with them.
+	// Workers sets the intra-cycle parallelism of Step. Every phase works
+	// group by group; with Workers > 1 a phase whose work reaches the
+	// cutover runs its dragonfly groups on a persistent pool (the Step
+	// caller plus goroutines parked between cycles, PoolWidth in all), with
+	// every cross-group effect — timing-wheel insertions, in-flight deltas,
+	// deliveries, drops, generated packets — buffered per group and merged
+	// at a barrier in the order the inline loop applies them. Because every
+	// stochastic draw comes from a per-router or per-group RNG stream and
+	// engine clones are behaviorally identical, results are bit-identical
+	// for any worker count. 0 or 1 runs every phase inline on the caller;
+	// negative values are rejected. Networks built with PoolWidth() > 1 own
+	// goroutines: call Network.Close when done with them.
 	Workers int
 
-	// ParallelCutover is the active-list length below which a Workers > 1
-	// network still runs the cycle serially on the caller's goroutine: with
-	// only a few awake routers the pool's wake/join barrier costs more than
-	// the sharded compute saves. 0 auto-calibrates from the worker count
-	// (see autoCutover); 1 forces every non-empty cycle through the pool
-	// (tests use this); values above the router count effectively pin the
-	// network serial. Results are bit-identical either way — the cutover
-	// moves wall-clock time only. Negative values are rejected.
+	// ParallelCutover is the work size (active routers in the router stage,
+	// due events in the event phase) below which a pooled network still runs
+	// a phase inline on the caller's goroutine: with little work the pool's
+	// wake/join barrier costs more than the parallel share saves. 0
+	// auto-calibrates from the worker count (see autoCutover); 1 forces
+	// every non-empty phase through the pool (tests use this); values above
+	// the router count effectively pin the network inline. Results are
+	// bit-identical either way — the cutover moves wall-clock time only.
+	// Negative values are rejected.
 	ParallelCutover int
 
-	// ShardByGroup shards both per-cycle phases by dragonfly group when
-	// Workers > 1: the event phase and the router stage run as parallel
-	// per-group shards (whole groups are the stealing unit), with every
-	// cross-shard effect — timing-wheel insertions, in-flight deltas,
-	// delivery and drop effects — buffered per group during the compute
-	// phase and committed at a serial barrier in fixed (group, router, due
-	// index) order. Group ownership also matches the struct-of-arrays
-	// arena layout (one router.Arena per group), so a shard's working set
-	// is contiguous. Results are bit-identical to the serial engine for
-	// any worker count, and snapshots round-trip across sharding on/off
-	// (the field is normalized out of snapshot identity, like Workers).
-	// Ignored when Workers <= 1.
+	// ShardByGroup is ignored.
+	//
+	// Deprecated: the dragonfly group is the only unit of pooled work, so
+	// Workers > 1 alone selects it. The field remains so that existing
+	// callers and config files keep compiling and loading; it is
+	// normalized out of snapshot and cache identity.
 	ShardByGroup bool
 
 	// DisableActivitySched turns off the active-set router scheduler and
@@ -205,15 +201,6 @@ type Config struct {
 	// bit-identical either way; like DisableActivitySched, this escape hatch
 	// exists for differential testing and benchmarking, not correctness.
 	DisableRouteCache bool
-
-	// DisableShardedGenerate keeps the injection front-end on the serial
-	// per-group loop even when ShardByGroup would shard it (see
-	// Network.generate). The sharded path performs the identical draws from
-	// the identical per-group traffic streams with effects committed in the
-	// identical (group, node) order, so results are bit-identical either
-	// way; like the two flags above, this escape hatch exists for
-	// differential testing and benchmarking, not correctness.
-	DisableShardedGenerate bool
 
 	// Faults is the deterministic failure schedule: each entry kills a link
 	// or a whole router at the top of its cycle. The schedule is applied in
@@ -270,6 +257,24 @@ func DefaultConfig(h int) Config {
 	}
 }
 
+// groups is the dragonfly group count (Groups, or the maximum size a·h+1
+// when unset).
+func (c *Config) groups() int {
+	if c.Groups == 0 {
+		return c.A*c.H + 1
+	}
+	return c.Groups
+}
+
+// PoolWidth is the number of workers a network built from c runs its pooled
+// phases on: Workers, at least 1 and at most the group count, because whole
+// dragonfly groups are the unit of pooled work and workers beyond the
+// group count could never claim one. Callers budgeting CPUs across several
+// networks charge each network this width.
+func (c *Config) PoolWidth() int {
+	return max(1, min(c.Workers, c.groups()))
+}
+
 // Validate reports the first configuration error.
 func (c *Config) Validate() error {
 	switch {
@@ -290,7 +295,7 @@ func (c *Config) Validate() error {
 	case c.PendingCap < 1:
 		return fmt.Errorf("network: pending cap must be ≥ 1")
 	case c.Workers < 0:
-		return fmt.Errorf("network: worker count must be ≥ 0 (0 = serial)")
+		return fmt.Errorf("network: worker count must be ≥ 0 (0 = inline)")
 	case c.ParallelCutover < 0:
 		return fmt.Errorf("network: parallel cutover must be ≥ 0 (0 = auto)")
 	}
@@ -338,11 +343,7 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("network: congestion threshold %f outside [0,1]", c.Congestion.Threshold)
 	}
 	if len(c.Faults) > 0 {
-		groups := c.Groups
-		if groups == 0 {
-			groups = c.A*c.H + 1
-		}
-		routers := groups * c.A
+		routers := c.groups() * c.A
 		nPorts := c.P + c.A - 1 + c.H
 		if c.Ring == RingPhysical {
 			nPorts += c.NumRings

@@ -35,38 +35,52 @@ type goldenDoc struct {
 const goldenHead = 256
 
 // goldenSpec pins one golden scenario: the dragonfly size, the traced
-// window, the offered load and an optional fault schedule.
+// window, the offered load, an optional fault schedule and an optional
+// traffic source (nil: Bernoulli uniform at load).
 type goldenSpec struct {
 	h      int
 	cycles int
 	load   float64
 	faults []Fault
+	gen    func(n *Network) traffic.Generator
 }
 
-// goldenRun executes one engine variant of a golden scenario and returns the
+// generator builds a fresh traffic source of the scenario for n.
+func (s goldenSpec) generator(n *Network) traffic.Generator {
+	if s.gen != nil {
+		return s.gen(n)
+	}
+	return traffic.NewBernoulli(traffic.NewUniform(n.Topo), s.load, n.Cfg.PacketSize)
+}
+
+// goldenVariant is one execution setting of a golden scenario. Every
+// variant must reproduce the golden document byte for byte.
+type goldenVariant struct {
+	name    string
+	workers int
+	cutover int // 1 forces every non-empty phase through the pool, on any host
+	noSched bool
+	noCache bool
+	snapAt  int
+}
+
+// goldenRun executes one variant of a golden scenario and returns the
 // serialized event-stream document. snapAt > 0 additionally round-trips the
 // run through Snapshot/Restore at that cycle: the first snapAt cycles run in
 // one network, the rest in a freshly built network restored from its
 // snapshot — the document must come out identical, which pins the
-// checkpoint layer to the same golden contract as the engines.
-func goldenRun(t *testing.T, spec goldenSpec, workers int, noSched, noCache, shard, noGenShard bool, snapAt int) []byte {
+// checkpoint layer to the same golden contract as the engine.
+func goldenRun(t *testing.T, spec goldenSpec, v goldenVariant) []byte {
 	t.Helper()
 	cfg := DefaultConfig(spec.h)
 	cfg.Seed = 12345
-	cfg.Workers = workers
-	cfg.DisableActivitySched = noSched
-	cfg.DisableRouteCache = noCache
-	cfg.ShardByGroup = shard
-	cfg.DisableShardedGenerate = noGenShard
-	if shard {
-		// Force the shard dispatch on every non-empty cycle so the golden
-		// contract covers the sharded engine even on a single-P host.
-		cfg.ParallelCutover = 1
-	}
+	cfg.Workers = v.workers
+	cfg.ParallelCutover = v.cutover
+	cfg.DisableActivitySched = v.noSched
+	cfg.DisableRouteCache = v.noCache
 	cfg.Faults = spec.faults
-	attach := func(n *Network) {
-		n.SetGenerator(traffic.NewBernoulli(traffic.NewUniform(n.Topo), spec.load, cfg.PacketSize))
-	}
+	snapAt := v.snapAt
+	attach := func(n *Network) { n.SetGenerator(spec.generator(n)) }
 	n := mustNet(t, cfg)
 	t.Cleanup(n.Close)
 	attach(n)
@@ -91,7 +105,7 @@ func goldenRun(t *testing.T, spec goldenSpec, workers int, noSched, noCache, sha
 	return goldenSerialize(t, n, cfg, spec)
 }
 
-// goldenReplayRun runs the serial scenario with a trace recorder attached,
+// goldenReplayRun runs the inline scenario with a trace recorder attached,
 // then re-injects the recorded packets through a fresh network driven by the
 // TraceReplay generator. Replay determinism means the replayed event stream
 // serializes to the very same golden document as the recording run.
@@ -103,7 +117,7 @@ func goldenReplayRun(t *testing.T, spec goldenSpec) []byte {
 	rec := &trace.Recorder{}
 	n := mustNet(t, cfg)
 	t.Cleanup(n.Close)
-	n.SetGenerator(traffic.NewBernoulli(traffic.NewUniform(n.Topo), spec.load, cfg.PacketSize))
+	n.SetGenerator(spec.generator(n))
 	n.SetTraceRecorder(rec)
 	n.Run(spec.cycles)
 
@@ -141,16 +155,15 @@ func goldenSerialize(t *testing.T, n *Network, cfg Config, spec goldenSpec) []by
 	return append(data, '\n')
 }
 
-// checkGolden compares every engine variant's serialized run — serial,
-// parallel, group-sharded, scheduler off, route cache off, sharded
-// generation off, and mid-run
-// snapshot/restore round trips (including across sharding) — against the
-// golden file, rewriting the file first when
-// -update-golden is set (only the serial scheduler-on variant rewrites, so a
-// divergence between variants still fails).
+// checkGolden compares every variant's serialized run — inline, pooled
+// (at the auto cutover and forced through the pool on every phase),
+// scheduler off, route cache off, and mid-run snapshot/restore round trips
+// — against the golden file, rewriting the file first when -update-golden
+// is set (only the inline scheduler-on variant rewrites, so a divergence
+// between variants still fails).
 func checkGolden(t *testing.T, path string, spec goldenSpec) {
 	t.Helper()
-	base := goldenRun(t, spec, 0, false, false, false, false, 0)
+	base := goldenRun(t, spec, goldenVariant{name: "inline"})
 	if *updateGolden {
 		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 			t.Fatal(err)
@@ -164,33 +177,21 @@ func checkGolden(t *testing.T, path string, spec goldenSpec) {
 	if err != nil {
 		t.Fatalf("reading golden file (regenerate with -update-golden): %v", err)
 	}
-	variants := []struct {
-		name       string
-		workers    int
-		noSched    bool
-		noCache    bool
-		shard      bool
-		noGenShard bool
-		snapAt     int
-	}{
-		{name: "serial"},
-		{name: "serial-nosched", noSched: true},
-		{name: "serial-nocache", noCache: true},
+	variants := []goldenVariant{
+		{name: "inline"},
+		{name: "inline-nosched", noSched: true},
+		{name: "inline-nocache", noCache: true},
 		{name: "workers4", workers: 4},
-		{name: "workers4-nosched", workers: 4, noSched: true},
-		{name: "workers4-nocache", workers: 4, noCache: true},
-		{name: "shard4", workers: 4, shard: true},
-		{name: "shard4-nosched", workers: 4, shard: true, noSched: true},
-		{name: "shard8-nocache", workers: 8, shard: true, noCache: true},
-		{name: "shard4-nogenshard", workers: 4, shard: true, noGenShard: true},
+		{name: "pool4", workers: 4, cutover: 1},
+		{name: "pool4-nosched", workers: 4, cutover: 1, noSched: true},
+		{name: "pool8-nocache", workers: 8, cutover: 1, noCache: true},
 		{name: "snapshot-restore", snapAt: spec.cycles / 2},
-		{name: "snapshot-restore-workers4", workers: 4, snapAt: spec.cycles / 2},
-		{name: "snapshot-restore-shard4", workers: 4, shard: true, snapAt: spec.cycles / 2},
+		{name: "snapshot-restore-pool4", workers: 4, cutover: 1, snapAt: spec.cycles / 2},
 	}
 	for _, v := range variants {
 		got := base
-		if v.workers != 0 || v.noSched || v.noCache || v.shard || v.snapAt != 0 {
-			got = goldenRun(t, spec, v.workers, v.noSched, v.noCache, v.shard, v.noGenShard, v.snapAt)
+		if v != (goldenVariant{name: "inline"}) {
+			got = goldenRun(t, spec, v)
 		}
 		if !bytes.Equal(got, want) {
 			t.Errorf("%s diverged from %s (len %d vs %d) — a behavioral change; "+
@@ -205,16 +206,16 @@ func checkGolden(t *testing.T, path string, spec goldenSpec) {
 
 // TestGoldenTraceH3 is the golden-trace regression gate: the first 2000
 // cycles of grant/delivery events of a fixed-seed h=3 OFAR run, serialized
-// to testdata/golden_h3.json, must match byte for byte — for the serial
-// engine, the parallel engine, both with the activity scheduler or route
-// cache disabled, and a run restored mid-window from a snapshot. It guards
+// to testdata/golden_h3.json, must match byte for byte — inline and pooled,
+// with the activity scheduler or route cache disabled, and a run restored
+// mid-window from a snapshot. It guards
 // future refactors of the router stage, the allocator, the scheduler's skip
 // logic, the RNG derivation order, the timing wheel and the checkpoint
 // layer, not just the change that introduced it. Regenerate deliberately
 // with `go test ./internal/network -run TestGoldenTrace -update-golden`.
 func TestGoldenTraceH3(t *testing.T) {
 	if testing.Short() {
-		t.Skip("golden trace runs 2000 full-size h=3 cycles per engine variant")
+		t.Skip("golden trace runs 2000 full-size h=3 cycles per execution variant")
 	}
 	checkGolden(t, filepath.Join("testdata", "golden_h3.json"),
 		goldenSpec{h: 3, cycles: 2000, load: 0.2})
@@ -227,7 +228,7 @@ func TestGoldenTraceH3(t *testing.T) {
 // or deliveries and break byte-equality here.
 func TestGoldenTraceH3LowLoad(t *testing.T) {
 	if testing.Short() {
-		t.Skip("golden trace runs 2000 full-size h=3 cycles per engine variant")
+		t.Skip("golden trace runs 2000 full-size h=3 cycles per execution variant")
 	}
 	checkGolden(t, filepath.Join("testdata", "golden_h3_low.json"),
 		goldenSpec{h: 3, cycles: 2000, load: 0.05})
@@ -237,12 +238,12 @@ func TestGoldenTraceH3LowLoad(t *testing.T) {
 // run with one global link killed at cycle 500. The digest covers every
 // grant, delivery and fault-drop (tag 2), so any change to the teardown
 // ordering, the liveness masks or the degraded routing path breaks
-// byte-equality — across all engine variants, including the snapshot round
+// byte-equality — across all execution variants, including the snapshot round
 // trip (whose restore point lands after the fault fires and must carry the
 // post-teardown structure verbatim).
 func TestGoldenTraceH3Faults(t *testing.T) {
 	if testing.Short() {
-		t.Skip("golden trace runs 2000 full-size h=3 cycles per engine variant")
+		t.Skip("golden trace runs 2000 full-size h=3 cycles per execution variant")
 	}
 	faults, err := GlobalLinkFaults(DefaultConfig(3), 500, 1)
 	if err != nil {
@@ -256,11 +257,59 @@ func TestGoldenTraceH3Faults(t *testing.T) {
 // (876 routers, 5256 nodes): radix-dependent code paths — port bitsets near
 // their 23-port width, deeper VC fan-in, longer rings — are exercised at a
 // scale the h=3 traces cannot reach. The window is short because each of the
-// engine variants replays it.
+// execution variants replays it.
 func TestGoldenTraceH6(t *testing.T) {
 	if testing.Short() {
-		t.Skip("golden trace runs 250 full-size h=6 cycles per engine variant")
+		t.Skip("golden trace runs 250 full-size h=6 cycles per execution variant")
 	}
 	checkGolden(t, filepath.Join("testdata", "golden_h6.json"),
 		goldenSpec{h: 6, cycles: 250, load: 0.2})
+}
+
+// TestGoldenTraceBurst pins the generation path of a source that is not
+// group-local: a closed-loop burst whose per-node budgets are shared
+// progress counters, drawn in (group, node) order. Every node holds more
+// packets than its source queue, so retraction runs throughout the window.
+func TestGoldenTraceBurst(t *testing.T) {
+	if testing.Short() {
+		t.Skip("golden trace runs 400 full-size h=3 cycles per execution variant")
+	}
+	checkGolden(t, filepath.Join("testdata", "golden_h3_burst.json"), goldenSpec{
+		h: 3, cycles: 400,
+		gen: func(n *Network) traffic.Generator {
+			return traffic.NewBurst(traffic.NewAdv(n.Topo, 1), 24, n.Topo.Nodes)
+		},
+	})
+}
+
+// TestGoldenTraceJobSet pins the other source that is not group-local: a
+// job set with random placement, a job lifetime window and uniform
+// background, under a router fault whose dead nodes turn generation
+// attempts into dead-destination drops.
+func TestGoldenTraceJobSet(t *testing.T) {
+	if testing.Short() {
+		t.Skip("golden trace runs 400 full-size h=3 cycles per execution variant")
+	}
+	checkGolden(t, filepath.Join("testdata", "golden_h3_jobs.json"), goldenSpec{
+		h: 3, cycles: 400,
+		faults: []Fault{{Cycle: 150, Kind: FaultRouter, Router: 20}},
+		gen: func(n *Network) traffic.Generator {
+			js, err := traffic.NewJobSet(n.Topo, traffic.JobSetConfig{
+				Jobs: []traffic.JobSpec{
+					{Kind: traffic.JobStencil, Nodes: 27, Load: 0.3, Dims: [3]int{3, 3, 3}},
+					{Kind: traffic.JobAll2All, Nodes: 32, Load: 0.4},
+					{Kind: traffic.JobRing, Nodes: 16, Load: 0.2, Start: 50, End: 300},
+					{Kind: traffic.JobParamServer, Nodes: 12, Load: 0.3},
+				},
+				Mapping:    traffic.MapRandom,
+				Background: 0.1,
+				Seed:       7,
+				PacketSize: n.Cfg.PacketSize,
+			})
+			if err != nil {
+				panic(err)
+			}
+			return js
+		},
+	})
 }

@@ -7,20 +7,19 @@ import (
 )
 
 // TestH6ShardedSmoke is the CI gate for the full-scale regime: 200 cycles of
-// the paper's h=6 system (876 routers, 5256 nodes), serial versus sharded
-// (ShardByGroup, 4 workers, cutover forced to 1 so the shard path genuinely
-// dispatches on any host), compared digest-for-digest after every cycle. It
-// runs even under -short — this is the check the CI smoke step builds on —
-// and is deliberately per-cycle: an ordering bug in the cross-shard commit
-// would be caught at the first divergent cycle, not smeared into an
-// end-of-run aggregate.
+// the paper's h=6 system (876 routers, 5256 nodes), inline versus pooled
+// (4 workers, cutover forced to 1 so every phase genuinely dispatches to the
+// pool on any host), compared digest-for-digest after every cycle. It runs
+// even under -short — this is the check the CI smoke step builds on — and
+// is deliberately per-cycle: an ordering bug in a barrier merge would be
+// caught at the first divergent cycle, not smeared into an end-of-run
+// aggregate.
 func TestH6ShardedSmoke(t *testing.T) {
 	const cycles = 200
 	mk := func(shard bool) *Network {
 		cfg := DefaultConfig(6)
 		if shard {
 			cfg.Workers = 4
-			cfg.ShardByGroup = true
 			cfg.ParallelCutover = 1
 		}
 		n := mustNet(t, cfg)

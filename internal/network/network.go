@@ -35,34 +35,33 @@ type event struct {
 	kind  evKind
 }
 
-// schedEv is one deferred wheel insertion: a shard-phase worker appends
-// these to its group's outbox instead of touching the shared timing wheel,
-// and the serial barrier merges the outboxes in ascending group order —
-// which, for commit-phase insertions, reproduces the serial engine's
-// ascending-router insertion order exactly (routers are numbered
-// group-major), and for handle-phase insertions produces only credit events,
-// whose in-slot order is unobservable (credits commute and fold nothing).
+// schedEv is one deferred wheel insertion: a pool worker appends these to
+// its group's outbox instead of touching the shared timing wheel, and the
+// barrier merges the outboxes in ascending group order — which, for
+// router-stage insertions, reproduces the inline ascending-router insertion
+// order exactly (routers are numbered group-major), and for event-phase
+// insertions produces only credit events, whose in-slot order is
+// unobservable (credits commute and fold nothing).
 type schedEv struct {
 	ev    event
 	delay int32
 }
 
-// Deferred handle effects, recorded per due-event index and applied at the
-// end of the event phase in ascending index order — the exact order the
-// pre-sharding engine folded them in, regardless of which group (or which
-// shard worker) processed the event. fxNone slots are skipped.
+// Deferred event effects of a pooled event phase, recorded per due-event
+// index and applied at the barrier in ascending index order — the order the
+// inline loop applies them in, regardless of which group (or which worker)
+// processed the event. fxNone slots are skipped.
 const (
 	fxNone uint8 = iota
 	fxDeliver
 	fxDrop
 )
 
-// genRec is one deferred generation event from the sharded injection
-// front-end: a packet created during the parallel generate phase (pkt != nil,
-// ID not yet assigned) or a dead-destination drop that consumed a destination
-// draw without allocating (pkt == nil). The commit barrier replays these in
-// ascending (group, node) order to stamp IDs and fold the observable effects
-// exactly as the serial per-node loop interleaves them.
+// genRec is one deferred generation event: a packet created by
+// generateGroup (pkt != nil, ID not yet assigned) or a dead-destination drop
+// that consumed a destination draw without allocating (pkt == nil).
+// commitGenerate replays these in ascending (group, node) order to stamp IDs
+// and fold the observable effects in per-node order.
 type genRec struct {
 	pkt  *packet.Packet
 	node int32
@@ -70,16 +69,18 @@ type genRec struct {
 }
 
 // groupScratch is one group's cross-shard channel: the wheel-insertion
-// outbox, the generate-phase outbox and the counter deltas its shares
-// accumulate while the shared counters are off limits. Padded to cache-line
-// multiples so adjacent groups written by different workers never
-// false-share.
+// outbox, the generate-phase outbox and the counter deltas the group
+// accumulates while the shared counters are off limits. A phase function
+// given sh == nil runs inline on the Step caller and applies effects in
+// place; given its group's scratch it may run on a pool worker. Padded to
+// cache-line multiples so adjacent groups written by different workers
+// never false-share.
 type groupScratch struct {
 	sched    []schedEv
 	gen      []genRec
 	inFlight int
 	// Generate-phase counter deltas, merged into the run counters at the
-	// barrier (their serial interleaving per node is unobservable — only the
+	// barrier (their per-node interleaving is unobservable — only the
 	// running Generated count is, and genRec replay reproduces it exactly).
 	blocked    int64
 	injected   int64
@@ -110,12 +111,11 @@ type Network struct {
 	// trafficRNG[g] is group g's traffic stream, derived deterministically
 	// from the run seed (one stream per dragonfly group). Nodes of group g
 	// draw from stream g in ascending node order — the same sequence whether
-	// the per-group loop runs serially or on a shard worker.
+	// the per-group loop runs inline or on a pool worker.
 	trafficRNG []*simcore.RNG
 	pending    []pqueue
 	gen        traffic.Generator
 	genLocal   bool // generator implements traffic.GroupLocalGenerator
-	genShard   bool // sharded generate allowed (shardOn, not disabled, past cutover)
 	groupNodes int  // nodes per group (Topo.P * Topo.A)
 	now        int64
 	usePB      bool
@@ -133,11 +133,12 @@ type Network struct {
 	deadRouter []bool
 	deadNode   []bool
 
-	// Parallel router stage (Config.Workers > 1): a persistent worker pool
-	// (see pool.go), per-worker engines (clones when the engine carries
-	// scratch state), the per-router grant buffers the compute phase fills
-	// for the serial commit phase, and the cutover below which a cycle runs
-	// serially on the caller's goroutine.
+	// Worker pool (Config.PoolWidth() > 1): a persistent pool (see pool.go)
+	// whose unit of work is one dragonfly group, per-worker engines (clones
+	// when the engine carries scratch state), the per-router grant buffers a
+	// pooled router stage fills for the barrier, and the cutover below which
+	// a phase runs inline on the caller's goroutine (math.MaxInt without a
+	// pool).
 	workers    int
 	workerEng  []router.Engine
 	grantBuf   [][]router.Grant
@@ -148,31 +149,25 @@ type Network struct {
 	// routers that can possibly produce a grant or observable side effect
 	// run Cycle. A router is awake while it holds a routable buffer head;
 	// handle (arrivals, drain completions) and generate (injections) wake
-	// routers, and compactActive drops the ones whose work has drained.
-	// The active set is kept per dragonfly group (routers are numbered
-	// group-major, so per-group sorted lists concatenate into the globally
-	// sorted order the serial loop needs); a shard worker compacts and
-	// iterates only its own groups' lists.
-	schedOn    bool
-	awake      []bool    // router is on its group's active list
-	activeG    [][]int32 // per-group awake router ids (sorted by compactGroup)
-	activeFlat []int32   // concatenation scratch returned by compactActive
-	allIdx     []int32   // 0..Routers-1, the legacy full iteration order
+	// routers, and compactGroup drops the ones whose work has drained. The
+	// active set is kept per dragonfly group, so each group's router stage
+	// compacts and iterates only its own list.
+	schedOn bool
+	awake   []bool    // router is on its group's active list
+	activeG [][]int32 // per-group awake router ids (sorted by compactGroup)
+	allIdx  []int32   // 0..Routers-1, the full iteration order without the scheduler
 
-	// Group partition of the event phase, used when the sharded dispatch
-	// runs (the serial path processes the due list directly in ascending
-	// order). dueG holds per-group indices into the cycle's due list;
-	// fxKind/fxPkt are the per-index deferred effects applied in due order
-	// at the barrier; gs carries each group's outbox.
+	// Group partition of a pooled event phase (the inline loop processes the
+	// due list directly in ascending order). dueG holds per-group indices
+	// into the cycle's due list; fxKind/fxPkt are the per-index deferred
+	// effects applied in due order at the barrier; gs carries each group's
+	// outbox.
 	nGroups   int
-	groupSize int     // routers per group (Topo.A)
-	groupIDs  []int32 // 0..nGroups-1: the shard dispatch iteration list
+	groupSize int // routers per group (Topo.A)
 	dueG      [][]int32
 	curDue    []event // the due list being processed (pool workers read it)
 	fxKind    []uint8
 	fxPkt     []*packet.Packet
-	shardOn   bool  // Config.ShardByGroup && workers > 1
-	evSink    int64 // write-only prefetch sink of the serial event loop
 	gs        []groupScratch
 
 	// Grant digest (tests): FNV-1a fold of every committed grant and every
@@ -359,12 +354,12 @@ func New(cfg Config) (*Network, error) {
 
 	// Routers are constructed group by group into contiguous []Router slabs,
 	// each group's slices carved from a private, exactly sized arena: one
-	// dragonfly group — the shard unit of ShardByGroup and the iteration unit
-	// of the group-partitioned event loop — then occupies a contiguous,
-	// cache-dense region instead of ~a·(2+ports·(4+vcs)) scattered heap
-	// objects. PAR mutates packet headers mid-Route and stays uncached; a
-	// CacheableEngine reports its Route read sets, so its routers memoize
-	// decisions (Validate guarantees ≤ 64 ports).
+	// dragonfly group — the unit of work of every Step phase — then
+	// occupies a contiguous, cache-dense region instead of
+	// ~a·(2+ports·(4+vcs)) scattered heap objects. PAR mutates packet
+	// headers mid-Route and stays uncached; a CacheableEngine reports its
+	// Route read sets, so its routers memoize decisions (Validate
+	// guarantees ≤ 64 ports).
 	_, cacheable := n.Engine.(router.CacheableEngine)
 	routeCache := cacheable && !cfg.DisableRouteCache
 	n.Routers = make([]*router.Router, topo.Routers)
@@ -472,23 +467,16 @@ func New(cfg Config) (*Network, error) {
 	n.groupSize = topo.A
 	n.groupNodes = topo.P * topo.A
 	n.poolG = make([]packet.Pool, topo.G)
-	n.groupIDs = make([]int32, topo.G)
 	n.activeG = make([][]int32, topo.G)
 	n.dueG = make([][]int32, topo.G)
 	n.gs = make([]groupScratch, topo.G)
-	for g := range n.groupIDs {
-		n.groupIDs[g] = int32(g)
-	}
 	if len(cfg.Faults) > 0 {
 		if err := n.prepareFaults(cfg.Faults); err != nil {
 			return nil, err
 		}
 	}
-	n.workers = cfg.Workers
-	if n.workers > topo.Routers {
-		n.workers = topo.Routers
-	}
-	n.shardOn = cfg.ShardByGroup && n.workers > 1
+	n.workers = cfg.PoolWidth()
+	n.cutover = math.MaxInt
 	if n.workers > 1 {
 		n.grantBuf = make([][]router.Grant, topo.Routers)
 		n.workerEng = make([]router.Engine, n.workers)
@@ -505,30 +493,22 @@ func New(cfg Config) (*Network, error) {
 		if n.cutover == 0 {
 			n.cutover = autoCutover(n.workers)
 		}
-		// The generate phase has no per-cycle activity count to compare
-		// against the cutover (every node is probed every cycle), so the
-		// decision is static: shard it whenever the router stage could ever
-		// shard — i.e. the cutover does not pin the network serial. The
-		// documented ParallelCutover semantics carry over: values above the
-		// router count keep generation serial too, and single-P hosts stay
-		// serial via autoCutover.
-		n.genShard = n.shardOn && !cfg.DisableShardedGenerate && n.cutover <= len(n.Routers)
 		n.startPool(n.workers)
 	}
 	return n, nil
 }
 
-// autoCutover picks the active-list size below which a parallel network runs
-// the cycle serially on the caller's goroutine, calibrated from the machine
-// and the worker count rather than measured at runtime (a measurement would
-// make wall-clock behavior depend on warm-up noise; the formula keeps it
-// reproducible). Two regimes:
+// autoCutover picks the work size (active routers, due events) below which
+// a pooled network runs a phase inline on the caller's goroutine,
+// calibrated from the machine and the worker count rather than measured at
+// runtime (a measurement would make wall-clock behavior depend on warm-up
+// noise; the formula keeps it reproducible). Two regimes:
 //
 //   - GOMAXPROCS == 1: a pool dispatch can never win — the caller computes
-//     the whole list itself and then pays goroutine switches just to join
-//     the parked workers — so the cutover is pinned above any possible
-//     active list and every cycle stays serial. (Tests that need the pool
-//     exercised regardless set ParallelCutover = 1 explicitly.)
+//     every group itself and then pays goroutine switches just to join the
+//     parked workers — so the cutover is pinned above any possible work size
+//     and every phase stays inline. (Tests that need the pool exercised
+//     regardless set ParallelCutover = 1 explicitly.)
 //
 //   - multicore: a pool dispatch (wake + steal + join) costs a handful of
 //     microseconds; one awake router's compute phase costs ~1–2 µs
@@ -585,12 +565,12 @@ func (n *Network) Now() int64 { return n.now }
 // Step advances the simulation one cycle: deliver due events, generate and
 // inject traffic, publish PB flags, then run routing and switch allocation
 // on the routers that can do work this cycle (all of them when the activity
-// scheduler is disabled). With Config.Workers > 1 and an active list at
-// least ParallelCutover long, the router stage runs as two phases — a
-// parallel compute phase on the persistent worker pool and a serial commit
-// phase — with bit-identical results (see cycleRouters); shorter lists run
-// serially on the caller's goroutine, where the pool barrier could never
-// pay for itself.
+// scheduler is disabled). Every phase works group by group. With a worker
+// pool (Config.PoolWidth() > 1), a phase whose work reaches the cutover runs
+// its groups on the pool and merges their buffered effects at a barrier in
+// the inline order; smaller phases run inline on the caller's goroutine,
+// where the barrier could never pay for itself. Results are bit-identical
+// either way.
 func (n *Network) Step() {
 	if n.timingOn {
 		n.stepTimed()
@@ -613,87 +593,45 @@ func (n *Network) Step() {
 	n.now++
 }
 
-// routerStage runs the routing/allocation phase of one cycle. The sharded
-// path decides on the pre-compaction active count (a superset of the
-// post-compaction list, so the decision is conservative) because compaction
-// itself runs inside the shard phase; the legacy paths keep their exact
-// pre-sharding control flow.
+// routerStage runs the routing/allocation phase of one cycle. The pool
+// decision uses the pre-compaction active count (a superset of the
+// compacted lists, so the decision is conservative) because compaction runs
+// inside each group's share.
 func (n *Network) routerStage(now int64) {
-	act := len(n.allIdx)
-	if n.schedOn {
-		act = 0
-		for g := range n.activeG {
-			act += len(n.activeG[g])
-		}
-	}
+	act := n.ActiveRouters()
 	if act == 0 {
 		return
 	}
-	if n.shardOn && act >= n.cutover {
+	if act >= n.cutover {
 		n.cycleShard(now)
 		return
 	}
-	list := n.allIdx
-	if n.schedOn {
-		list = n.compactActive()
-	}
-	if !n.shardOn && n.workers > 1 && len(list) >= n.cutover {
-		n.cycleRouters(list, now)
-		return
-	}
-	for _, i := range list {
-		r := n.Routers[i]
-		grants := r.Cycle(n.Engine, now)
-		for j := range grants {
-			n.commit(r, &grants[j], now)
-		}
+	for g := 0; g < n.nGroups; g++ {
+		n.cycleGroup(g, n.Engine, now, nil)
 	}
 }
 
-// processDue runs the event phase over one cycle's due list, partitioned by
-// target group. Group order is the processing order in both the serial loop
-// and the sharded dispatch, so the two are trivially identical; equivalence
-// with the pre-partition engine (ascending due order) rests on three facts,
-// each pinned by the golden tests:
+// processDue runs the event phase over one cycle's due list. Inline, events
+// are handled in ascending due order with effects applied in place. Pooled,
+// the list is partitioned by target group and each group's events run on a
+// worker; the result equals the inline one by three facts, each pinned by
+// the golden tests:
 //
 //   - Router mutations commute across groups: an event targets exactly one
 //     router (arrivals and drains touch input buffers, credits touch output
 //     ports), and same-router events touch disjoint (port, VC) state.
 //   - Observable effects (delivery folds and stats, fault drops) are not
 //     applied in processing order: they are recorded per due index and
-//     applied in ascending index order afterwards — the exact fold order of
-//     the pre-partition engine, because arrive/drain events enter a wheel
-//     slot only during the commit phase (ascending router order) and their
-//     relative in-slot order is therefore identical under both engines.
-//   - Handle-phase wheel insertions are credit events only; their in-slot
-//     order differs from the pre-partition engine's, but credits fold
-//     nothing and AddCredit is commutative (a sum plus idempotent dirty
-//     bits), so no digest, stat or future decision can observe the shuffle.
+//     applied in ascending index order at the barrier — the inline order.
+//   - Event-phase wheel insertions are credit events only; their in-slot
+//     order differs from the inline order, but credits fold nothing and
+//     AddCredit is commutative (a sum plus idempotent dirty bits), so no
+//     digest, stat or future decision can observe the shuffle.
 func (n *Network) processDue(due []event, now int64) {
-	if !n.shardOn || len(due) < n.cutover {
-		// Serial fast path: the pre-partition engine verbatim — ascending
-		// due order, effects applied inline. No group partition, no effect
-		// deferral; the sharded path below reproduces exactly this order.
-		//
-		// The lookahead touch warms the port state of an event a few slots
-		// ahead: due-order jumps between routers, so each event's first
-		// dereference is otherwise a serial cache miss. Reads of exported
-		// quiescent fields only — nothing observable moves.
-		const look = 8
-		sink := int64(0)
+	if len(due) < n.cutover {
 		for i := range due {
-			if i+look < len(due) {
-				nx := &due[i+look]
-				r := n.Routers[nx.r]
-				inp := &r.In[nx.port]
-				sink += int64(inp.UpPort) + int64(r.Out[nx.port].Latency)
-				if int(nx.vc) < len(inp.VCs) {
-					sink += int64(inp.VCs[nx.vc].Ring)
-				}
-			}
-			n.handleSerial(due[i], now)
+			n.handle(due[i], int32(i), now, nil)
 		}
-		n.evSink = sink
 		return
 	}
 	for g := range n.dueG {
@@ -728,31 +666,35 @@ func (n *Network) processDue(due []event, now int64) {
 	}
 	// Apply deferred effects in original due order (see above).
 	for i, k := range n.fxKind {
-		switch k {
-		case fxDeliver:
-			p := n.fxPkt[i]
+		if k != fxNone {
+			n.applyEffect(k, n.fxPkt[i], now)
 			n.fxPkt[i] = nil
-			if n.digestOn {
-				// Folding (identity, latency) pins per-packet delivery
-				// times, not just the grant sequence.
-				n.fold(1, now, int64(p.Src), int64(p.Dst), p.Born, p.Injected)
-			}
-			n.Stats.OnDeliver(p.Born, p.Injected, now, p.TotalHops, p.RingHops)
-			if p.Job >= 0 {
-				n.Stats.JobDelivered(int(p.Job), now-p.Born)
-			}
-			n.putPacket(p)
-		case fxDrop:
-			p := n.fxPkt[i]
-			n.fxPkt[i] = nil
-			n.dropPacket(p, now)
 		}
 	}
 }
 
-// sched inserts a wheel event directly (sh == nil: serial event phase) or
-// into the group's outbox (sharded event phase, where the shared wheel is
-// off limits until the barrier).
+// applyEffect applies one event's observable effect: a delivery (digest
+// fold, statistics, recycling) or a fault drop.
+func (n *Network) applyEffect(kind uint8, p *packet.Packet, now int64) {
+	if kind == fxDrop {
+		n.dropPacket(p, now)
+		return
+	}
+	if n.digestOn {
+		// Folding (identity, latency) pins per-packet delivery times, not
+		// just the grant sequence.
+		n.fold(1, now, int64(p.Src), int64(p.Dst), p.Born, p.Injected)
+	}
+	n.Stats.OnDeliver(p.Born, p.Injected, now, p.TotalHops, p.RingHops)
+	if p.Job >= 0 {
+		n.Stats.JobDelivered(int(p.Job), now-p.Born)
+	}
+	n.putPacket(p)
+}
+
+// sched inserts a wheel event directly (sh == nil: inline) or into the
+// group's outbox (on a pool worker, where the shared wheel is off limits
+// until the barrier).
 func (n *Network) sched(sh *groupScratch, delay int, ev event) {
 	if sh == nil {
 		n.wheel.Schedule(delay, ev)
@@ -765,7 +707,7 @@ func (n *Network) sched(sh *groupScratch, delay int, ev event) {
 // places that can create routable work: handle (arrivals and drain
 // completions) and generate (injections). Waking conservatively is always
 // safe — an awake router with no routable head runs a no-op Cycle and is
-// dropped by the next compactActive — whereas a missed wake would silently
+// dropped by the next compactGroup — whereas a missed wake would silently
 // freeze the router's traffic, so every candidate event wakes its router.
 func (n *Network) wake(r int32) {
 	if !n.awake[r] {
@@ -777,8 +719,8 @@ func (n *Network) wake(r int32) {
 
 // ActiveRouters reports how many routers are currently on the activity
 // scheduler's active list (every router when the scheduler is disabled).
-// This is the quantity the parallel cutover compares against
-// Config.ParallelCutover; exposed for diagnostics and calibration.
+// This is the quantity the router stage compares against the cutover
+// (Config.ParallelCutover); exposed for diagnostics and calibration.
 func (n *Network) ActiveRouters() int {
 	if n.schedOn {
 		total := 0
@@ -790,27 +732,10 @@ func (n *Network) ActiveRouters() int {
 	return len(n.Routers)
 }
 
-// compactActive compacts every group's active list and returns their
-// concatenation: per-group sorted lists of a group-major router numbering
-// concatenate into the globally ascending order the legacy full loop visits
-// routers in, which keeps grant commit order, timing-wheel insertion order
-// and therefore every digest bit-identical. Skipped routers contribute no
-// grants, so removing them from the iteration changes nothing else.
-func (n *Network) compactActive() []int32 {
-	flat := n.activeFlat[:0]
-	for g := range n.activeG {
-		if len(n.activeG[g]) > 0 {
-			flat = append(flat, n.compactGroup(g)...)
-		}
-	}
-	n.activeFlat = flat
-	return flat
-}
-
 // compactGroup drops routers with no routable buffer head from one group's
 // active list and sorts the survivors by router index. Touches only
 // group-owned state (the group's list and its routers' awake flags), so
-// shard workers compact their claimed groups concurrently.
+// pool workers compact their claimed groups concurrently.
 func (n *Network) compactGroup(g int) []int32 {
 	keep := n.activeG[g][:0]
 	for _, id := range n.activeG[g] {
@@ -830,14 +755,15 @@ func (n *Network) compactGroup(g int) []int32 {
 // (PBDirty) need to recompute; the full sweep remains available for the
 // scheduler-disabled path and produces identical reader-visible flags.
 //
-// With group sharding past the cutover, the O(routers) dirty scan runs on
-// the pool instead: each worker publishes its claimed groups' boards. A
-// group's board is written only by that group's routers (UpdatePBFlags sets
-// the router's own link flags), each router writes disjoint flag indices,
-// and nothing reads any board during this phase — so the sweep parallelizes
-// with no outbox and no barrier merge, bit-identically.
+// Whenever the router stage can pool (the cutover does not exceed the
+// router count), the O(routers) dirty scan runs on the pool: each worker
+// publishes its claimed groups' boards. A group's board is written only by
+// that group's routers (UpdatePBFlags sets the router's own link flags),
+// each router writes disjoint flag indices, and nothing reads any board
+// during this phase — so the sweep parallelizes with no outbox and no
+// barrier merge, bit-identically.
 func (n *Network) publishPB(now int64) {
-	if n.shardOn && n.cutover <= len(n.Routers) {
+	if len(n.Routers) >= n.cutover {
 		n.runShards(phasePB, now)
 		return
 	}
@@ -846,7 +772,7 @@ func (n *Network) publishPB(now int64) {
 	}
 }
 
-// publishPBGroup republishes one group's flag board (serial loop or shard
+// publishPBGroup republishes one group's flag board (inline or on a pool
 // worker; see publishPB).
 func (n *Network) publishPBGroup(g int, now int64) {
 	lo := g * n.groupSize
@@ -984,19 +910,21 @@ func (n *Network) fold(vs ...int64) {
 	n.digestCount++
 }
 
-// handleSerial processes one due event with inline effects — the serial
-// event phase, byte-for-byte the pre-partition engine. The sharded path
-// (handleGroup + deferred effects) reproduces exactly this processing order;
-// see processDue.
-func (n *Network) handleSerial(ev event, now int64) {
+// handle processes one due event. Inline (sh == nil) it applies every
+// effect in place. On a pool worker (sh is the event's group scratch) every
+// write stays within the event's group — its router, the group's
+// awake/activeG entries, the fx slot of due index idx — while wheel
+// insertions and the in-flight delta go through sh, and deliveries and
+// drops are only recorded for processDue's barrier.
+func (n *Network) handle(ev event, idx int32, now int64, sh *groupScratch) {
 	switch ev.kind {
 	case evArrive:
-		n.inFlight--
+		n.addInFlight(sh, -1)
 		if n.deadRouter != nil && n.deadRouter[ev.r] {
 			// The packet was launched before the router died; the link
 			// delivered it into a void. No credit refund: the upstream port
 			// is dead and its counters are frozen.
-			n.dropPacket(ev.pkt, now)
+			n.effect(sh, idx, fxDrop, ev.pkt, now)
 			return
 		}
 		if n.deadNode != nil && n.deadNode[ev.pkt.Dst] {
@@ -1006,9 +934,9 @@ func (n *Network) handleSerial(ev event, now int64) {
 			// on this live router is never consumed.
 			up := &n.Routers[ev.r].In[ev.port]
 			if up.UpRouter >= 0 {
-				n.wheel.Schedule(0, event{kind: evCredit, r: int32(up.UpRouter), port: int16(up.UpPort), vc: ev.vc, phits: int32(ev.pkt.Size)})
+				n.sched(sh, 0, event{kind: evCredit, r: int32(up.UpRouter), port: int16(up.UpPort), vc: ev.vc, phits: int32(ev.pkt.Size)})
 			}
-			n.dropPacket(ev.pkt, now)
+			n.effect(sh, idx, fxDrop, ev.pkt, now)
 			return
 		}
 		n.Routers[ev.r].Arrive(int(ev.port), int(ev.vc), ev.pkt)
@@ -1030,7 +958,7 @@ func (n *Network) handleSerial(ev event, now int64) {
 			// link (its arrival event is pending); with link latencies ≥
 			// packetSize-1 — true for all shipped configurations — this
 			// keeps the conservation accounting exact.
-			n.inFlight++
+			n.addInFlight(sh, 1)
 		}
 		if upR >= 0 && (n.deadRouter == nil || !n.deadRouter[ev.r]) {
 			// Dead routers return no credits: their upstream ports are dead
@@ -1038,105 +966,42 @@ func (n *Network) handleSerial(ev event, now int64) {
 			// whose counters were re-derived against the new downstream
 			// buffer and must not absorb refunds for the old one.
 			lat := n.Routers[upR].Out[upP].Latency
-			n.wheel.Schedule(lat-1, event{kind: evCredit, r: int32(upR), port: int16(upP), vc: ev.vc, phits: int32(p.Size)})
+			n.sched(sh, lat-1, event{kind: evCredit, r: int32(upR), port: int16(upP), vc: ev.vc, phits: int32(p.Size)})
 		}
 		if ev.kind == evDrainDeliver {
 			p.Done = now
-			if n.digestOn {
-				// Folding (identity, latency) pins per-packet delivery
-				// times, not just the grant sequence.
-				n.fold(1, now, int64(p.Src), int64(p.Dst), p.Born, p.Injected)
-			}
-			n.Stats.OnDeliver(p.Born, p.Injected, now, p.TotalHops, p.RingHops)
-			if p.Job >= 0 {
-				n.Stats.JobDelivered(int(p.Job), now-p.Born)
-			}
-			n.putPacket(p)
+			n.effect(sh, idx, fxDeliver, p, now)
 		}
 	case evCredit:
 		n.Routers[ev.r].AddCredit(int(ev.port), int(ev.vc), int(ev.phits))
 	}
 }
 
-// handleGroup processes one group's share of the due list inside a shard
-// worker: wheel insertions and the in-flight counter go through the group's
-// scratch, and everything else the switch mutates is owned by the group —
-// routers of this group (every event targets its own router), the
-// awake/activeG entries of this group, and the fx slots of this group's due
-// indices. Observable effects (deliveries, drops) are only *recorded* here;
-// processDue applies them in original due order.
-func (n *Network) handleGroup(g int, due []event, now int64, sh *groupScratch) {
-	for _, idx := range n.dueG[g] {
-		ev := due[idx]
-		switch ev.kind {
-		case evArrive:
-			sh.inFlight--
-			if n.deadRouter != nil && n.deadRouter[ev.r] {
-				// The packet was launched before the router died; the link
-				// delivered it into a void. No credit refund: the upstream
-				// port is dead and its counters are frozen.
-				n.fxKind[idx] = fxDrop
-				n.fxPkt[idx] = ev.pkt
-				continue
-			}
-			if n.deadNode != nil && n.deadNode[ev.pkt.Dst] {
-				// The destination died while the packet was en route. Drop it
-				// here rather than let it chase an unreachable ejection port —
-				// with a synthesized refund, since the buffer space it
-				// reserved on this live router is never consumed.
-				up := &n.Routers[ev.r].In[ev.port]
-				if up.UpRouter >= 0 {
-					n.sched(sh, 0, event{kind: evCredit, r: int32(up.UpRouter), port: int16(up.UpPort), vc: ev.vc, phits: int32(ev.pkt.Size)})
-				}
-				n.fxKind[idx] = fxDrop
-				n.fxPkt[idx] = ev.pkt
-				continue
-			}
-			n.Routers[ev.r].Arrive(int(ev.port), int(ev.vc), ev.pkt)
-			if n.schedOn {
-				n.wake(ev.r)
-			}
-		case evDrain, evDrainDeliver:
-			r := n.Routers[ev.r]
-			p, upR, upP := r.FinishDrain(int(ev.port), int(ev.vc))
-			if n.schedOn {
-				// The drain's end frees the input port and promotes any packet
-				// queued behind the drained head; credits (evCredit) need no
-				// wake because they cannot create a routable head on a router
-				// that has none.
-				n.wake(ev.r)
-			}
-			if ev.kind == evDrain {
-				// The packet has fully left this buffer and is now only on the
-				// link (its arrival event is pending); with link latencies ≥
-				// packetSize-1 — true for all shipped configurations — this
-				// keeps the conservation accounting exact.
-				sh.inFlight++
-			}
-			if upR >= 0 && (n.deadRouter == nil || !n.deadRouter[ev.r]) {
-				// Dead routers return no credits: their upstream ports are
-				// dead with frozen counters — except a re-formed ring
-				// predecessor, whose counters were re-derived against the new
-				// downstream buffer and must not absorb refunds for the old
-				// one.
-				lat := n.Routers[upR].Out[upP].Latency
-				n.sched(sh, lat-1, event{kind: evCredit, r: int32(upR), port: int16(upP), vc: ev.vc, phits: int32(p.Size)})
-			}
-			if ev.kind == evDrainDeliver {
-				p.Done = now
-				n.fxKind[idx] = fxDeliver
-				n.fxPkt[idx] = p
-			}
-		case evCredit:
-			n.Routers[ev.r].AddCredit(int(ev.port), int(ev.vc), int(ev.phits))
-		}
+// addInFlight moves the in-flight link count in place (sh == nil) or in the
+// group's delta, merged at the barrier.
+func (n *Network) addInFlight(sh *groupScratch, d int) {
+	if sh == nil {
+		n.inFlight += d
+	} else {
+		sh.inFlight += d
 	}
 }
 
-// generate runs the injection front-end for one cycle. Both paths walk the
-// same (group, node) order and draw from the same per-group traffic streams;
-// equivalence of the sharded path rests on three facts, mirrored from the
-// processDue argument and pinned by the golden/invariance matrices:
+// effect applies a delivery or drop in place (sh == nil) or records it in
+// due slot idx for processDue's barrier.
+func (n *Network) effect(sh *groupScratch, idx int32, kind uint8, p *packet.Packet, now int64) {
+	if sh == nil {
+		n.applyEffect(kind, p, now)
+		return
+	}
+	n.fxKind[idx] = kind
+	n.fxPkt[idx] = p
+}
+
+// generate runs the injection front-end for one cycle: generateGroup for
+// every group, inline in ascending group order or on the pool, then
+// commitGenerate. The pooled path equals the inline one by three facts,
+// mirrored from the processDue argument and pinned by the golden tests:
 //
 //   - Per-node work is group-local: Next/Retract draw from the group's own
 //     stream (and, for GroupLocalGenerator sources, touch only per-node or
@@ -1147,115 +1012,36 @@ func (n *Network) handleGroup(g int, due []event, now int64, sh *groupScratch) {
 //   - Observable effects are not applied in processing order: packet IDs,
 //     Stats counters, digest folds, trace-recorder appends and job
 //     accounting are recorded per group (genRec) and replayed at the barrier
-//     in ascending (group, node) order — the exact interleaving of the
-//     serial loop, including the running Generated count the path-trace
-//     sampler reads.
-//   - Counter deltas that the serial loop interleaves with generation
-//     (SourceBlocked, Injected, CongestionStalls) are plain sums with no
-//     intermediate observer, so per-group accumulation plus an ordered merge
-//     is invisible.
+//     in ascending (group, node) order — including the running Generated
+//     count the path-trace sampler reads.
+//   - Counter deltas (SourceBlocked, Injected, CongestionStalls) are plain
+//     sums with no intermediate observer, so per-group accumulation plus an
+//     ordered merge is invisible.
 //
+// The phase has no per-cycle work count to compare against the cutover
+// (every node is probed every cycle), so it pools whenever the router stage
+// could ever pool: values of ParallelCutover above the router count keep
+// generation inline too, and single-P hosts stay inline via autoCutover.
 // Generators without the GroupLocalGenerator marker (Burst, JobSet — shared
-// plain-int progress counters) always take the serial path, which performs
-// identical draws from the identical streams, so the results cannot depend
-// on which path executed.
+// plain-int progress counters) always run inline.
 func (n *Network) generate(now int64) {
-	if n.genShard && n.genLocal {
+	if n.genLocal && len(n.Routers) >= n.cutover {
 		n.runShards(phaseGenerate, now)
-		n.commitGenerate(now)
-		return
+	} else {
+		for g := 0; g < n.nGroups; g++ {
+			n.generateGroup(g, n.Engine, now)
+		}
 	}
-	for g := 0; g < n.nGroups; g++ {
-		n.generateSerial(g, now)
-	}
+	n.commitGenerate(now)
 }
 
-// generateSerial generates and injects for every node of one group with all
-// effects applied inline — the serial injection front-end, processing nodes
-// in the exact order the pre-sharding single-stream loop did (ascending node
-// == ascending (group, node), since node numbering is group-major).
-func (n *Network) generateSerial(g int, now int64) {
-	topo := n.Topo
-	rng := n.trafficRNG[g]
-	lo := g * n.groupNodes
-	hi := lo + n.groupNodes
-	for node := lo; node < hi; node++ {
-		if n.deadNode != nil && n.deadNode[node] {
-			continue // dead sources neither draw traffic nor inject
-		}
-		pq := &n.pending[node]
-		if dst, ok := n.gen.Next(rng, node, now); ok {
-			if n.deadNode != nil && n.deadNode[dst] {
-				// The destination is down; the source learns immediately
-				// (its NIC would). Generated and Dropped move together so
-				// conservation holds without allocating a packet.
-				n.Stats.Generated++
-				n.Stats.Dropped++
-				n.Stats.NoteAffectedFlow(node, dst)
-				if n.jobOf != nil {
-					j := int(n.jobOf[node])
-					n.Stats.JobGenerated(j)
-					n.Stats.JobDropped(j)
-				}
-				if n.rec != nil {
-					n.rec.Add(now, node, dst, n.Cfg.PacketSize)
-				}
-				if n.digestOn {
-					n.fold(2, now, int64(node), int64(dst), now)
-				}
-			} else if pq.len() >= n.Cfg.PendingCap {
-				n.gen.Retract(node)
-				n.Stats.SourceBlocked++
-			} else {
-				p := n.poolG[g].GetBlank()
-				p.ID = n.pool.NextID()
-				p.Size = n.Cfg.PacketSize
-				p.Src, p.Dst = node, dst
-				p.SrcGroup = g
-				p.DstGroup = topo.GroupOfNode(dst)
-				p.Born = now
-				if n.jobOf != nil {
-					p.Job = n.jobOf[node]
-					n.Stats.JobGenerated(int(p.Job))
-				}
-				if n.rec != nil {
-					n.rec.Add(now, node, dst, n.Cfg.PacketSize)
-				}
-				pq.push(p)
-				if n.traceEvery > 0 && n.Stats.Generated%int64(n.traceEvery) == 0 {
-					n.traces[p.ID] = &Trace{Src: node, Dst: dst}
-				}
-				n.Stats.Generated++
-			}
-		}
-		if p := pq.peek(); p != nil {
-			r := n.Routers[topo.RouterOf(node)]
-			if n.congestionOn && r.CanonicalOccupancy() >= n.congestionTh {
-				n.CongestionStalls++
-				continue
-			}
-			port := topo.NodePort(topo.NodeSlot(node))
-			if vc, ok := r.InjectionSpace(port, p.Size); ok {
-				pq.pop()
-				r.Inject(port, vc, p, now)
-				if n.schedOn {
-					n.wake(int32(r.ID))
-				}
-				n.Engine.AtInjection(r, p, now)
-				n.Stats.Injected++
-			}
-		}
-	}
-}
-
-// generateGroup is generateSerial's shard-phase twin, run by a pool worker
-// that has claimed group g: the same per-node sequence, but every observable
-// effect is buffered — packets leave the group's pool shard without an ID
-// (the barrier stamps IDs in global order), stats/digest/trace/job effects
-// become genRec entries, and counter deltas accumulate in the group scratch.
-// Injection side effects (router state, wake, AtInjection with the worker's
-// engine) are group-owned and applied immediately, exactly as the serial
-// loop would at this node's turn.
+// generateGroup generates and injects for every node of group g in
+// ascending node order, inline or on a pool worker that has claimed the
+// group. Injection side effects (router state, wake, AtInjection with the
+// given engine) are group-owned and applied at the node's turn; every other
+// observable effect is buffered in the group scratch for commitGenerate —
+// packets leave the group's pool shard without an ID, stats, digest, trace
+// and job effects become genRec entries, and counter deltas accumulate.
 func (n *Network) generateGroup(g int, eng router.Engine, now int64) {
 	topo := n.Topo
 	rng := n.trafficRNG[g]
@@ -1307,18 +1093,19 @@ func (n *Network) generateGroup(g int, eng router.Engine, now int64) {
 	}
 }
 
-// commitGenerate is the serial barrier of the sharded generate phase: walk
-// groups in ascending order replaying each group's genRec entries in node
-// order — stamping packet IDs from the run-wide sequence and folding the
-// observable effects exactly as generateSerial interleaves them — then merge
-// the counter deltas.
+// commitGenerate is the barrier of the generate phase: walk groups in
+// ascending order replaying each group's genRec entries in node order —
+// stamping packet IDs from the run-wide sequence and folding the observable
+// effects — then merge the counter deltas.
 func (n *Network) commitGenerate(now int64) {
 	for g := 0; g < n.nGroups; g++ {
 		sh := &n.gs[g]
 		for i := range sh.gen {
 			rec := &sh.gen[i]
 			if rec.pkt == nil {
-				// Dead-destination drop (see generateSerial).
+				// The destination is down; the source learns immediately
+				// (its NIC would). Generated and Dropped move together so
+				// conservation holds without allocating a packet.
 				n.Stats.Generated++
 				n.Stats.Dropped++
 				n.Stats.NoteAffectedFlow(int(rec.node), int(rec.dst))
@@ -1359,73 +1146,16 @@ func (n *Network) commitGenerate(now int64) {
 
 // putPacket recycles a terminal packet into its source group's pool shard,
 // keeping the free list (and the block-carve locality it preserves) with the
-// group that allocated the packet. Only ever called from serial contexts
+// group that allocated the packet. Only ever called on the Step caller
 // (delivery folds, fault drops).
 func (n *Network) putPacket(p *packet.Packet) {
 	n.poolG[p.SrcGroup].Put(p)
 }
 
-func (n *Network) commit(r *router.Router, g *router.Grant, now int64) {
-	p := g.Pkt
-	if n.digestOn {
-		n.fold(0, now, int64(r.ID), int64(g.InPort), int64(g.InVC),
-			int64(g.Req.Out), int64(g.Req.VC), int64(p.Src), int64(p.Dst), p.Born)
-		if len(n.grantLog) < n.logCap {
-			n.grantLog = append(n.grantLog, GrantEvent{
-				Cycle: now, Router: r.ID, InPort: g.InPort, InVC: g.InVC,
-				Out: g.Req.Out, VC: g.Req.VC,
-				Src: p.Src, Dst: p.Dst, Born: p.Born, Eject: g.Eject,
-			})
-		}
-	}
-	if n.traceEvery > 0 {
-		if tr, ok := n.traces[p.ID]; ok {
-			tr.Hops = append(tr.Hops, TraceHop{
-				Router: r.ID, Port: g.Req.Out, VC: g.Req.VC,
-				Escape: g.Req.Escape, Cycle: now,
-			})
-			if g.Eject {
-				tr.Done = true
-			}
-		}
-	}
-	if g.Eject {
-		n.wheel.Schedule(p.Size-1, event{kind: evDrainDeliver, r: int32(r.ID), port: int16(g.InPort), vc: int16(g.InVC)})
-	} else {
-		out := &r.Out[g.Req.Out]
-		n.wheel.Schedule(out.Latency, event{kind: evArrive, pkt: p, r: int32(out.Peer), port: int16(out.PeerPort), vc: int16(g.Req.VC)})
-		n.wheel.Schedule(p.Size-1, event{kind: evDrain, r: int32(r.ID), port: int16(g.InPort), vc: int16(g.InVC)})
-	}
-	n.Stats.AddUtilization(r.ID, g.Req.Out, p.Size)
-	if g.Req.SetGlobalMis {
-		n.Stats.GlobalMisroutes++
-	}
-	if g.Req.SetLocalMis {
-		n.Stats.LocalMisroutes++
-	}
-	if g.Req.EnterRing {
-		n.Stats.RingEnters++
-	}
-	if g.Req.ExitRing {
-		n.Stats.RingExits++
-	}
-	if g.Req.Escape && !g.Req.EnterRing {
-		n.Stats.RingHops++
-	}
-	if n.faultIdx > 0 && (g.Req.SetGlobalMis || g.Req.SetLocalMis || g.Req.EnterRing) &&
-		r.OutputDead(n.Topo.MinimalPort(r.ID, p.Dst)) {
-		// The packet left its minimal path while the minimal output here is
-		// dead: the fault, not ordinary congestion, forced the detour.
-		n.Stats.FaultReroutes++
-		n.Stats.NoteAffectedFlow(p.Src, p.Dst)
-	}
-}
-
-// commitSched is the wheel-insertion half of commit, runnable inside a shard
-// worker: the grant's future events go to the group outbox (sh != nil) or
-// the wheel directly. Splitting commit lets the sharded router stage emit
-// each group's insertions during the parallel phase and reduce the serial
-// barrier to outbox merging plus commitStats.
+// commitSched schedules a committed grant's future events: into the wheel
+// directly (sh == nil: inline) or into the group outbox (on a pool worker),
+// so a pooled router stage emits each group's insertions in parallel and
+// its barrier reduces to outbox merging plus commitStats.
 func (n *Network) commitSched(r *router.Router, g *router.Grant, now int64, sh *groupScratch) {
 	p := g.Pkt
 	if g.Eject {
@@ -1437,10 +1167,10 @@ func (n *Network) commitSched(r *router.Router, g *router.Grant, now int64, sh *
 	}
 }
 
-// commitStats is the observable half of commit — digest, grant log, traces,
-// statistics, fault-reroute attribution — applied serially in ascending
-// router order at the shard barrier, exactly as the serial engine interleaves
-// them.
+// commitStats applies a committed grant's observable effects — digest,
+// grant log, traces, statistics, fault-reroute attribution — on the Step
+// caller in ascending router order: inline right after commitSched, or at
+// the pooled router stage's barrier.
 func (n *Network) commitStats(r *router.Router, g *router.Grant, now int64) {
 	p := g.Pkt
 	if n.digestOn {
@@ -1504,34 +1234,45 @@ func (n *Network) groupList(g int) []int32 {
 	return n.allIdx[lo:hi]
 }
 
-// cycleGroup runs one group's router stage inside a shard worker: compact
-// the group's active list, Cycle each router with the worker's engine, and
-// emit the grants' wheel insertions into the group outbox. Everything
-// written — the group's active list, its routers, their grantBuf rows, the
-// outbox — is owned by this group's claim.
-func (n *Network) cycleGroup(g int, eng router.Engine, now int64) {
+// cycleGroup runs one group's router stage: compact the group's active
+// list, Cycle each router with the given engine and commit its grants —
+// fully in place when inline (sh == nil). On a pool worker only the wheel
+// insertions are emitted, into sh; the grants are kept in grantBuf for
+// cycleShard's barrier. Everything a worker writes — the group's active
+// list, its routers, their grantBuf rows, the outbox — is owned by this
+// group's claim.
+func (n *Network) cycleGroup(g int, eng router.Engine, now int64, sh *groupScratch) {
 	if n.schedOn {
 		if len(n.activeG[g]) == 0 {
 			return
 		}
 		n.compactGroup(g)
 	}
-	sh := &n.gs[g]
 	for _, i := range n.groupList(g) {
 		r := n.Routers[i]
 		grants := r.Cycle(eng, now)
-		n.grantBuf[i] = grants
+		if sh != nil {
+			n.grantBuf[i] = grants
+		}
 		for j := range grants {
 			n.commitSched(r, &grants[j], now, sh)
+			if sh == nil {
+				n.commitStats(r, &grants[j], now)
+			}
 		}
 	}
 }
 
-// cycleShard is the ShardByGroup router stage: the pool claims whole groups
+// cycleShard is the pooled router stage: the pool claims whole groups
 // (compute + per-group commitSched in parallel), then the barrier walks
 // groups in ascending order committing stats in router order and merging
-// each group's outbox — reproducing the serial engine's ascending-router
+// each group's outbox — reproducing the inline ascending-router
 // wheel-insertion and fold order exactly, for any worker count.
+//
+// grantBuf entries alias the per-router grant slices that Cycle itself
+// reuses across cycles; they are never cleared, because the barrier reads
+// only the entries of routers on this cycle's lists, each freshly written
+// by its group's share.
 func (n *Network) cycleShard(now int64) {
 	n.runShards(phaseCycle, now)
 	for g := 0; g < n.nGroups; g++ {

@@ -45,10 +45,10 @@ func stepCompare(t *testing.T, ref *Network, variants map[string]*Network, cycle
 }
 
 // TestParallelEngineMatchesSerial is the equivalence contract of the
-// two-phase router stage and the activity scheduler: for every traffic
-// pattern and mechanism tried, a Workers=4 run — with the active-set
-// scheduler on or off — must be bit-identical to the serial
-// scheduler-disabled run: same per-cycle grant sequences, same per-packet
+// worker pool and the activity scheduler: for every traffic pattern and
+// mechanism tried (the burst source generates inline even on the pool), a
+// Workers=4 run — with the active-set scheduler on or off — must be
+// bit-identical to the inline scheduler-disabled run: same per-cycle grant sequences, same per-packet
 // latencies (both folded into the digest), same statistics, and a conserved
 // packet population on every side.
 func TestParallelEngineMatchesSerial(t *testing.T) {
@@ -85,7 +85,7 @@ func TestParallelEngineMatchesSerial(t *testing.T) {
 				n.Stats.StartMeasurement(0)
 				return n
 			}
-			ref := mk(0, true) // serial, every router every cycle: the legacy engine
+			ref := mk(0, true) // inline, every router every cycle
 			variants := map[string]*Network{
 				"serial+sched":     mk(0, false),
 				"workers4+nosched": mk(4, true),
@@ -127,25 +127,21 @@ func TestParallelEngineMatchesSerial(t *testing.T) {
 }
 
 // TestWorkerCountInvariance: the digest must not depend on *how many*
-// workers split the routers, nor on whether the activity scheduler prunes
+// workers split the groups, nor on whether the activity scheduler prunes
 // the iteration to the awake set, nor on whether routers memoize routing
-// decisions, nor on whether the cycle is sharded by group, nor on whether
-// the injection front-end runs sharded or serial (the full workers ×
-// scheduler × route-cache × ShardByGroup × DisableShardedGenerate matrix).
-// Parallel rows force ParallelCutover=1 so the pool — flat or sharded —
-// genuinely dispatches on every non-empty cycle even on a single-P host.
+// decisions (the full workers × scheduler × route-cache matrix). Pooled
+// rows force ParallelCutover=1 so the pool genuinely dispatches every
+// non-empty phase even on a single-P host.
 func TestWorkerCountInvariance(t *testing.T) {
 	cycles := 800
 	if testing.Short() {
 		cycles = 300
 	}
-	run := func(workers int, noSched, noCache, shard, noGen bool) (uint64, int64) {
+	run := func(workers int, noSched, noCache bool) (uint64, int64) {
 		cfg := DefaultConfig(2)
 		cfg.Workers = workers
 		cfg.DisableActivitySched = noSched
 		cfg.DisableRouteCache = noCache
-		cfg.ShardByGroup = shard
-		cfg.DisableShardedGenerate = noGen
 		if workers > 1 {
 			cfg.ParallelCutover = 1
 		}
@@ -156,21 +152,14 @@ func TestWorkerCountInvariance(t *testing.T) {
 		d, c := n.GrantDigest()
 		return d, c
 	}
-	wantD, wantC := run(0, true, false, false, false)
-	for _, shard := range []bool{false, true} {
-		for _, noGen := range []bool{false, true} {
-			if noGen && !shard {
-				continue // the flag only gates behavior under group sharding
-			}
-			for _, noCache := range []bool{false, true} {
-				for _, noSched := range []bool{false, true} {
-					for _, w := range []int{0, 1, 4, 8, 64} { // 64 > router count: clamped
-						d, c := run(w, noSched, noCache, shard, noGen)
-						if d != wantD || c != wantC {
-							t.Fatalf("workers=%d noSched=%v noCache=%v shard=%v noGen=%v: digest %016x (%d) != reference %016x (%d)",
-								w, noSched, noCache, shard, noGen, d, c, wantD, wantC)
-						}
-					}
+	wantD, wantC := run(0, true, false)
+	for _, noCache := range []bool{false, true} {
+		for _, noSched := range []bool{false, true} {
+			for _, w := range []int{0, 1, 4, 8, 64} { // 64 > group count: clamped
+				d, c := run(w, noSched, noCache)
+				if d != wantD || c != wantC {
+					t.Fatalf("workers=%d noSched=%v noCache=%v: digest %016x (%d) != reference %016x (%d)",
+						w, noSched, noCache, d, c, wantD, wantC)
 				}
 			}
 		}
@@ -209,13 +198,12 @@ func TestRouterRNGStreamIndependence(t *testing.T) {
 }
 
 // BenchmarkNetworkStep measures whole-network cycle throughput on the
-// saturated h=3 system for the serial engine and several pool sizes — the
-// headline number of the parallel router stage. On a ≥4-core machine the
-// workers=4 case beats the serial cycle rate (the compute phase is ~90% of
-// a saturated cycle and the persistent pool's dispatch is microseconds); on
-// a single-P host the auto cutover pins every cycle serial, so the parallel
-// rows measure the cutover's overhead (one comparison) rather than a
-// barrier penalty — which is why the speedup check is a benchmark
+// saturated h=3 system inline ("serial") and for several pool sizes — the
+// headline number of the worker pool. On a ≥4-core machine the workers=4
+// case beats the inline cycle rate (router compute is ~90% of a saturated
+// cycle and the persistent pool's dispatch is microseconds); on a single-P
+// host the auto cutover pins every phase inline, so the pool rows measure
+// the cutover's overhead (one comparison) rather than a barrier penalty — which is why the speedup check is a benchmark
 // comparison rather than a wall-clock test assertion.
 func BenchmarkNetworkStep(b *testing.B) {
 	b.Logf("GOMAXPROCS=%d", runtime.GOMAXPROCS(0))

@@ -11,54 +11,49 @@ import (
 	"ofar/internal/router"
 )
 
-// stepPool is the persistent worker pool behind the parallel router stage.
-// It replaces the spawn-per-Step goroutines of the first two-phase engine,
-// whose per-cycle cost (goroutine launch, closure allocation, channel
-// fan-in) exceeded the sharded compute at every load below saturation.
+// stepPool is the persistent worker pool behind a pooled Step phase. Its
+// unit of work is one dragonfly group.
 //
 // Lifecycle: Network.New starts Workers−1 goroutines parked on the dispatch
 // barrier; the caller of Step acts as the pool's remaining worker, so the
-// pool always has exactly Config.Workers computing participants and the
-// caller never idles while work remains. Network.Close retires the
-// goroutines; an un-Closed parallel Network pins them (parked, but alive)
-// for the life of the process.
+// pool always has exactly Config.PoolWidth() participants and the caller
+// never idles while work remains. Network.Close retires the goroutines; an
+// un-Closed pooled Network pins them (parked, but alive) for the life of
+// the process.
 //
-// One compute epoch:
+// One epoch:
 //
-//  1. dispatch — the caller publishes the cycle's work (active list + now),
-//     resets the work-stealing cursor and the pending count, bumps the
-//     epoch under the dispatch mutex and broadcasts. Everything is reused:
-//     steady-state dispatch performs zero allocations.
+//  1. dispatch — the caller publishes the phase and the cycle, resets the
+//     work-stealing cursor and the pending count, bumps the epoch under the
+//     dispatch mutex and broadcasts. Everything is reused: steady-state
+//     dispatch performs zero allocations.
 //  2. steal    — every participant (parked workers and the caller alike)
-//     claims chunks of the list via an atomic cursor and runs router.Cycle
-//     with its own engine, writing each router's grants into grantBuf.
-//     Stealing over the *active* list balances load over awake routers;
-//     which worker computes which router is unobservable because routing
-//     state lives in the router (buffers, arbiters, private RNG stream) and
-//     engine clones are behaviorally identical (router.ConcurrentCloner).
+//     claims whole groups via an atomic cursor and runs the phase's
+//     per-group function with its own engine. Which worker runs which group
+//     is unobservable: routing state lives in the router (buffers, arbiters,
+//     private RNG stream), engine clones are behaviorally identical
+//     (router.ConcurrentCloner), and every cross-group effect is buffered in
+//     the group's scratch.
 //  3. join     — each parked worker decrements pending when the cursor runs
 //     dry; the last one records the epoch in doneEpoch and signals. The
-//     caller spins briefly (a compute phase is short), yields, then parks
-//     on the completion cond. Grants are then committed serially in list
-//     order, exactly as the serial loop would, so runs stay bit-identical
-//     for any worker count.
+//     caller spins briefly (a phase is short), yields, then parks on the
+//     completion cond. The caller then merges the buffered effects in the
+//     inline order, so runs stay bit-identical for any worker count.
 type stepPool struct {
 	// Hot shared state, reset at each dispatch.
-	cursor  atomic.Int64 // next unclaimed index into list
-	pending atomic.Int32 // parked workers still computing this epoch
-	chunk   int64        // list indices claimed per cursor grab
+	cursor  atomic.Int64 // next unclaimed group
+	pending atomic.Int32 // parked workers still working this epoch
 
 	// Dispatch barrier: workers park on cond until epoch advances.
-	// list/now/phase/cursor/pending/chunk are written by the caller before
-	// the epoch bump, so the mutex hand-off publishes them to the workers.
+	// now/phase/cursor/pending are written by the caller before the epoch
+	// bump, so the mutex hand-off publishes them to the workers.
 	mu     sync.Mutex
 	cond   sync.Cond
 	epoch  uint64 // guarded by mu
 	closed bool   // guarded by mu
 
-	list  []int32
 	now   int64
-	phase int // phaseRouters / phaseHandle / phaseCycle
+	phase int // phaseHandle / phaseCycle / phaseGenerate / phasePB
 
 	// Completion barrier: the last finisher of an epoch publishes it here.
 	// Epoch-tagged (not a boolean) so a straggler signalling an old epoch
@@ -68,28 +63,6 @@ type stepPool struct {
 	doneEpoch uint64 // guarded by doneMu
 
 	workers sync.WaitGroup // worker goroutine lifetimes, for Close
-
-	// Prebuilt pprof label contexts for the caller's per-cycle phases, so
-	// -cpuprofile output attributes samples to dispatch/compute/commit.
-	// Built once at startPool: pprof.SetGoroutineLabels with a prebuilt
-	// context is allocation-free, which keeps the steady state at 0 allocs.
-	baseCtx     context.Context
-	dispatchCtx context.Context
-	computeCtx  context.Context
-	commitCtx   context.Context
-}
-
-// chunkFor sizes cursor grabs: large enough that cursor contention is noise,
-// small enough that the tail imbalance stays below one chunk per worker.
-func chunkFor(n, workers int) int64 {
-	c := n / (workers * 4)
-	if c < 4 {
-		c = 4
-	}
-	if c > 64 {
-		c = 64
-	}
-	return int64(c)
 }
 
 // startPool creates the pool and parks workers−1 goroutines on it. Worker 0
@@ -99,10 +72,6 @@ func (n *Network) startPool(workers int) {
 	p := &stepPool{}
 	p.cond.L = &p.mu
 	p.doneCond.L = &p.doneMu
-	p.baseCtx = context.Background()
-	p.dispatchCtx = pprof.WithLabels(p.baseCtx, pprof.Labels("phase", "dispatch"))
-	p.computeCtx = pprof.WithLabels(p.baseCtx, pprof.Labels("phase", "compute"))
-	p.commitCtx = pprof.WithLabels(p.baseCtx, pprof.Labels("phase", "commit"))
 	n.workerPool = p
 	for w := 1; w < workers; w++ {
 		p.workers.Add(1)
@@ -110,15 +79,14 @@ func (n *Network) startPool(workers int) {
 	}
 }
 
-// poolWorker is one parked pool goroutine: wait for a new epoch, steal and
-// compute until the cursor runs dry, then report in.
+// poolWorker is one parked pool goroutine: wait for a new epoch, steal
+// groups until the cursor runs dry, then report in.
 func (n *Network) poolWorker(w int) {
 	p := n.workerPool
 	defer p.workers.Done()
 	// Label the goroutine once at birth (the labels stick for its lifetime):
-	// profile samples of parked and computing pool workers show up under
-	// pool_worker=<w>, phase=compute.
-	pprof.Do(p.baseCtx, pprof.Labels("pool_worker", strconv.Itoa(w), "phase", "compute"), func(context.Context) {
+	// profile samples of pool workers show up under pool_worker=<w>.
+	pprof.Do(context.Background(), pprof.Labels("pool_worker", strconv.Itoa(w)), func(context.Context) {
 		eng := n.workerEng[w]
 		var seen uint64
 		for {
@@ -131,14 +99,10 @@ func (n *Network) poolWorker(w int) {
 				return
 			}
 			seen = p.epoch
-			list, now, phase := p.list, p.now, p.phase
+			now, phase := p.now, p.phase
 			p.mu.Unlock()
 
-			if phase == phaseRouters {
-				n.computeShare(eng, list, now)
-			} else {
-				n.groupShare(eng, phase, now)
-			}
+			n.groupShare(eng, phase, now)
 
 			if p.pending.Add(-1) == 0 {
 				p.doneMu.Lock()
@@ -150,50 +114,24 @@ func (n *Network) poolWorker(w int) {
 	})
 }
 
-// computeShare claims chunks of the iteration list until it is exhausted and
-// runs the router compute phase for each claimed router. Safe concurrently:
-// Cycle reads and writes only router-local state (input buffers, credit
-// mirrors of its own output ports, arbiter memories, its private RNG stream)
-// plus the PB flag boards, which were fully published earlier in the cycle
-// and are read-only here; distinct routers write distinct grantBuf entries.
-func (n *Network) computeShare(eng router.Engine, list []int32, now int64) {
-	p := n.workerPool
-	chunk := p.chunk
-	for {
-		end := p.cursor.Add(chunk)
-		k := end - chunk
-		if k >= int64(len(list)) {
-			return
-		}
-		if end > int64(len(list)) {
-			end = int64(len(list))
-		}
-		for _, i := range list[k:end] {
-			n.grantBuf[i] = n.Routers[i].Cycle(eng, now)
-		}
-	}
-}
-
-// Pool phases. phaseRouters is the legacy flat router stage (steal chunks of
-// a router list, compute only). The shard phases steal whole dragonfly groups:
-// phaseHandle runs handleGroup over the due list's group partition, phaseCycle
-// runs cycleGroup (compact + compute + commitSched into the group outbox),
-// phaseGenerate runs generateGroup (the sharded injection front-end, effects
-// buffered as genRec for commitGenerate), and phasePB runs publishPBGroup
-// (each group's routers republish their own flag board — no cross-group
-// state, no observable effects, so no barrier work at all).
+// Pool phases, one per pooled Step phase: phaseHandle runs handle over each
+// group's share of the due list, phaseCycle runs cycleGroup (compact +
+// compute + commitSched into the group outbox), phaseGenerate runs
+// generateGroup (effects buffered as genRec for commitGenerate), and
+// phasePB runs publishPBGroup (each group's routers republish their own
+// flag board — no cross-group state, no observable effects, so no barrier
+// work at all).
 const (
-	phaseRouters = iota
-	phaseHandle
+	phaseHandle = iota
 	phaseCycle
 	phaseGenerate
 	phasePB
 )
 
 // groupShare claims group IDs one at a time until the cursor runs dry and
-// runs the current shard phase on each. Chunk size is fixed at 1: there are
-// only G claims per cycle, so cursor contention is negligible, and groups are
-// the unit of ownership — nothing finer is safe, nothing coarser balances.
+// runs the current phase on each. Chunk size is fixed at 1: there are only
+// G claims per cycle, so cursor contention is negligible, and groups are the
+// unit of ownership — nothing finer is safe, nothing coarser balances.
 func (n *Network) groupShare(eng router.Engine, phase int, now int64) {
 	p := n.workerPool
 	for {
@@ -202,13 +140,14 @@ func (n *Network) groupShare(eng router.Engine, phase int, now int64) {
 			return
 		}
 		g := int(k)
+		sh := &n.gs[g]
 		switch phase {
 		case phaseHandle:
-			if len(n.dueG[g]) > 0 {
-				n.handleGroup(g, n.curDue, now, &n.gs[g])
+			for _, idx := range n.dueG[g] {
+				n.handle(n.curDue[idx], idx, now, sh)
 			}
 		case phaseCycle:
-			n.cycleGroup(g, eng, now)
+			n.cycleGroup(g, eng, now, sh)
 		case phaseGenerate:
 			n.generateGroup(g, eng, now)
 		case phasePB:
@@ -217,13 +156,13 @@ func (n *Network) groupShare(eng router.Engine, phase int, now int64) {
 	}
 }
 
-// runShards dispatches one shard phase to the pool — every participant,
-// caller included, steals whole groups — and joins. The caller resumes only
-// after every group's share is done, with all cross-shard effects parked in
-// the per-group outboxes for the serial barrier to merge.
+// runShards dispatches one phase to the pool — every participant, caller
+// included, steals whole groups — and joins. The caller resumes only after
+// every group's share is done, with all cross-group effects parked in the
+// per-group scratch for the barrier to merge.
 func (n *Network) runShards(phase int, now int64) {
 	p := n.workerPool
-	p.list, p.now, p.phase = nil, now, phase
+	p.now, p.phase = now, phase
 	p.cursor.Store(0)
 	p.pending.Store(int32(n.workers - 1))
 	p.mu.Lock()
@@ -237,8 +176,8 @@ func (n *Network) runShards(phase int, now int64) {
 }
 
 // join waits for the epoch's parked workers to report in: spin first (a
-// compute phase is tens of microseconds), then yield the P so parked-but-
-// runnable workers get it (this is what keeps GOMAXPROCS=1 runs — e.g. under
+// phase is tens of microseconds), then yield the P so parked-but-runnable
+// workers get it (this is what keeps GOMAXPROCS=1 runs — e.g. under
 // testing.AllocsPerRun — live), and only then park on the completion cond.
 func (p *stepPool) join(epoch uint64) {
 	for spin := 0; p.pending.Load() != 0; spin++ {
@@ -258,49 +197,10 @@ func (p *stepPool) join(epoch uint64) {
 	}
 }
 
-// cycleRouters runs one parallel router stage over the given iteration list
-// (the sorted active set, or all routers with the scheduler disabled):
-// dispatch an epoch to the pool, compute the caller's share, join, then
-// commit every grant serially in list order — ascending router index,
-// exactly the order the serial loop uses — so timing-wheel insertion order,
-// statistics and traces are bit-identical to a serial run.
-//
-// grantBuf entries alias the per-router grant slices that Cycle itself
-// reuses across cycles; they are never cleared here, because the commit loop
-// reads only the entries of routers on this cycle's list, each freshly
-// written by the compute phase.
-func (n *Network) cycleRouters(list []int32, now int64) {
-	p := n.workerPool
-	pprof.SetGoroutineLabels(p.dispatchCtx)
-	p.list, p.now, p.phase = list, now, phaseRouters
-	p.chunk = chunkFor(len(list), n.workers)
-	p.cursor.Store(0)
-	p.pending.Store(int32(n.workers - 1))
-	p.mu.Lock()
-	p.epoch++
-	epoch := p.epoch
-	p.mu.Unlock()
-	p.cond.Broadcast()
-
-	pprof.SetGoroutineLabels(p.computeCtx)
-	n.computeShare(n.Engine, list, now)
-	p.join(epoch)
-
-	pprof.SetGoroutineLabels(p.commitCtx)
-	for _, i := range list {
-		r := n.Routers[i]
-		grants := n.grantBuf[i]
-		for j := range grants {
-			n.commit(r, &grants[j], now)
-		}
-	}
-	pprof.SetGoroutineLabels(p.baseCtx)
-}
-
 // Close retires the worker pool's goroutines and waits for them to exit.
-// Idempotent and safe on serial networks (no-op). Must not be called
-// concurrently with Step, and a closed parallel network must not be stepped
-// again (there is no one left to answer a dispatch).
+// Idempotent and safe on networks without a pool (no-op). Must not be
+// called concurrently with Step, and a closed pooled network must not be
+// stepped again (there is no one left to answer a dispatch).
 func (n *Network) Close() {
 	p := n.workerPool
 	if p == nil {

@@ -47,6 +47,41 @@ func TestStepZeroAllocSteadyState(t *testing.T) {
 	}
 }
 
+// TestPoolWidth pins the one pool-width rule that the network, the sweep
+// driver and the sweep service share: Workers, at least 1 and at most the
+// group count.
+func TestPoolWidth(t *testing.T) {
+	h2 := DefaultConfig(2)              // a=4, h=2: 9 groups at maximum size
+	h2.Routing, h2.Ring = MIN, RingNone // a single group cannot stitch a ring
+	cases := []struct {
+		name    string
+		workers int
+		groups  int
+		want    int
+	}{
+		{"unset", 0, 0, 1},
+		{"one", 1, 0, 1},
+		{"below groups", 4, 0, 4},
+		{"equal groups", 9, 0, 9},
+		{"above groups", 64, 0, 9},
+		{"explicit groups", 8, 3, 3},
+		{"single group", 4, 1, 1},
+	}
+	for _, tc := range cases {
+		cfg := h2
+		cfg.Workers = tc.workers
+		cfg.Groups = tc.groups
+		if got := cfg.PoolWidth(); got != tc.want {
+			t.Errorf("%s: PoolWidth() = %d, want %d", tc.name, got, tc.want)
+		}
+		n := mustNet(t, cfg)
+		if n.workers != tc.want || (n.workerPool != nil) != (tc.want > 1) {
+			t.Errorf("%s: network runs %d workers (pool %v), want %d", tc.name, n.workers, n.workerPool != nil, tc.want)
+		}
+		n.Close()
+	}
+}
+
 // TestPoolCloseIdempotent: Close must be callable any number of times, on
 // parallel and serial networks alike, including before any Step.
 func TestPoolCloseIdempotent(t *testing.T) {

@@ -101,7 +101,6 @@ func normalizeConfig(c Config) Config {
 	c.ShardByGroup = false
 	c.DisableActivitySched = false
 	c.DisableRouteCache = false
-	c.DisableShardedGenerate = false
 	return c
 }
 
@@ -613,7 +612,7 @@ func (n *Network) decodePayload(d *simcore.Dec) error {
 	// Rebuild the active set: wake exactly the routers holding routable work.
 	// This is a subset of the original run's awake set containing every
 	// behaviorally relevant router — extra awake routers run no-op Cycles and
-	// are dropped by compactActive, so the wake set never affects results
+	// are dropped by compactGroup, so the wake set never affects results
 	// (the conservative-wake contract).
 	for i := range n.awake {
 		n.awake[i] = false
@@ -621,7 +620,6 @@ func (n *Network) decodePayload(d *simcore.Dec) error {
 	for g := range n.activeG {
 		n.activeG[g] = n.activeG[g][:0]
 	}
-	n.activeFlat = n.activeFlat[:0]
 	if n.schedOn {
 		for _, r := range n.Routers {
 			if r.HasRoutableWork() {

@@ -147,12 +147,13 @@ func TestSnapshotCrossSetting(t *testing.T) {
 	}
 }
 
-// TestSnapshotAcrossSharding: ShardByGroup is a wall-clock setting like
-// Workers — normalized out of the snapshot's config identity — so a snapshot
-// taken under the sharded engine restores into a serial network (and vice
-// versa) bit-identically, snapshot image included. ParallelCutover=1 (from
-// snapCfg) forces the shard dispatch on every non-empty cycle, so the shard
-// side genuinely runs sharded even on a single-P host.
+// TestSnapshotAcrossSharding: the pool width is a wall-clock setting —
+// normalized out of the snapshot's config identity, like the deprecated
+// ShardByGroup flag, which the shard side sets to prove it is ignored — so
+// a snapshot taken on the group-sharded pool restores into an inline
+// network (and vice versa) bit-identically, snapshot image included.
+// ParallelCutover=1 (from snapCfg) forces the pool on every non-empty
+// phase, so the shard side genuinely runs pooled even on a single-P host.
 func TestSnapshotAcrossSharding(t *testing.T) {
 	const warm, measure = 300, 300
 	shardCfg := snapCfg(4, false)

@@ -14,9 +14,9 @@ import "ofar/internal/packet"
 // a group share one slab (allocated router-major, port-major, so the
 // iteration order of Cycle and handle is a forward walk), all credit arrays
 // share another, and so on per type. A group's working set is therefore
-// cache- and TLB-dense, which is what makes the group the natural shard unit
-// for the sharded Step (see network.Config.ShardByGroup) and measurably
-// faster even for the serial engine at h=6 scale.
+// cache- and TLB-dense, which is what makes the group the natural unit of
+// work of the Step (see network.Config.Workers) and measurably faster even
+// inline at h=6 scale.
 //
 // Each slab is allocated once at exactly the group's total for its type. The
 // totals come from a sizing arena (NewSizer): running the constructors

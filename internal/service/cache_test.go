@@ -100,11 +100,10 @@ func TestPointKeyChangesWithEngineDigest(t *testing.T) {
 		t.Fatal("a different engine digest must produce a different cache key — a physics change would serve stale results")
 	}
 	// Wall-clock-only execution settings canonicalize away: a Workers=4
-	// sharded config shares cache entries with the serial one (results are
+	// config shares cache entries with the inline one (results are
 	// bit-identical by the engine's determinism contract).
 	par := cfg
 	par.Workers = 4
-	par.ShardByGroup = true
 	canonPar, err := ofar.CanonicalConfigJSON(par)
 	if err != nil {
 		t.Fatal(err)

@@ -132,12 +132,27 @@ smoke-trace:
 	echo "record: $$rec"; echo "replay: $$rep"; \
 	[ -n "$$rec" ] && [ "$$rec" = "$$rep" ] || { echo "trace replay digest mismatch"; exit 1; }
 
+# Every fuzz target, as PACKAGE:TARGET — the one list both `make fuzz` and
+# CI's fuzz smoke run. Go allows one -fuzz target per invocation, so each
+# runs FUZZTIME of real exploration on its own (plain `go test` only replays
+# the seed corpora).
+FUZZTIME ?= 10s
+FUZZ_TARGETS = \
+	.:FuzzParsePattern \
+	.:FuzzParallelConservation \
+	.:FuzzConfigFromJSON \
+	.:FuzzFaultSchedule \
+	.:FuzzRouteCache \
+	./internal/network:FuzzSnapshotRoundTrip \
+	./internal/topology:FuzzTopologyInvariants \
+	./internal/trace:FuzzTraceRoundTrip
+
 fuzz:
-	$(GO) test -fuzz FuzzTopologyInvariants -fuzztime 30s ./internal/topology
-	$(GO) test -fuzz FuzzParsePattern -fuzztime 20s .
-	$(GO) test -fuzz FuzzParallelConservation -fuzztime 30s .
-	$(GO) test -fuzz FuzzRouteCache -fuzztime 30s .
-	$(GO) test -fuzz FuzzTraceRoundTrip -fuzztime 20s ./internal/trace
+	@set -e; for t in $(FUZZ_TARGETS); do \
+		pkg=$${t%%:*}; name=$${t##*:}; \
+		echo "fuzz $$name ($$pkg, $(FUZZTIME))"; \
+		$(GO) test -run=NONE -fuzz="^$$name\$$" -fuzztime=$(FUZZTIME) $$pkg; \
+	done
 
 clean:
 	rm -rf figures test_output.txt bench_output.txt

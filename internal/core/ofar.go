@@ -130,7 +130,7 @@ func (e *OFAR) minPort(rt *router.Router, in router.InCtx, p *packet.Packet) int
 		e.depMin = in.MinHint
 		return int(in.MinHint)
 	}
-	min := e.d.MinimalPort(rt.ID, p.Dst)
+	min := e.d.MinimalPort(rt.ID, int(p.Dst))
 	e.depMin = int32(min)
 	return min
 }
@@ -186,11 +186,11 @@ func chooseVC(rt *router.Router, port int, p *packet.Packet, now int64) (int, bo
 	if op.Kind == topology.PortNone || op.Busy(now) {
 		return -1, false
 	}
-	vc := p.GlobalHops
+	vc := int(p.GlobalHops)
 	if n := op.NumVCs(); vc >= n {
 		vc = n - 1
 	}
-	if op.EscapeRing(vc) >= 0 || op.Credits(vc) < p.Size {
+	if op.EscapeRing(vc) >= 0 || op.Credits(vc) < rt.PktSize {
 		return -1, false
 	}
 	return vc, true
@@ -202,7 +202,7 @@ func (e *OFAR) Route(rt *router.Router, in router.InCtx, p *packet.Packet, now i
 	if in.Escape {
 		return e.routeOnRing(rt, in, p, now)
 	}
-	size := p.Size
+	size := rt.PktSize
 	min := e.minPort(rt, in, p)
 	e.dep(min)
 	if vc, ok := chooseVC(rt, min, p, now); ok {
@@ -265,7 +265,7 @@ func (e *OFAR) routeOnRing(rt *router.Router, in router.InCtx, p *packet.Packet,
 	minKind := e.d.PortKindOf(min)
 	// Ejection at the destination router is always permitted regardless of
 	// the exit budget; otherwise the packet could never leave the network.
-	if p.RingExits < e.cfg.MaxRingExits || minKind == topology.PortNode {
+	if int(p.RingExits) < e.cfg.MaxRingExits || minKind == topology.PortNode {
 		e.dep(min)
 		if vc, ok := chooseVC(rt, min, p, now); ok {
 			return router.Request{Out: min, VC: vc, ExitRing: true}, true
@@ -274,7 +274,7 @@ func (e *OFAR) routeOnRing(rt *router.Router, in router.InCtx, p *packet.Packet,
 	port, vc, credits, ok := rt.RingOut(in.Ring)
 	if ok {
 		e.dep(port) // a dead ring edge (ok == false) never heals; no dep
-		if credits >= p.Size && !rt.OutBusy(port, now) {
+		if credits >= rt.PktSize && !rt.OutBusy(port, now) {
 			return router.Request{Out: port, VC: vc, Escape: true, Ring: int8(in.Ring)}, true
 		}
 	}
@@ -305,9 +305,9 @@ func (e *OFAR) misroute(rt *router.Router, in router.InCtx, p *packet.Packet, mi
 	localSat := minKind == topology.PortLocal && !vcFits(rt, min, p)
 	tryLocal, tryGlobal := false, false
 	switch {
-	case p.DstGroup == g:
+	case int(p.DstGroup) == g:
 		tryLocal = e.cfg.LocalMisroute && !p.LocalMisrouted && localSat
-	case p.SrcGroup == g:
+	case int(p.SrcGroup) == g:
 		if in.Kind == topology.PortNode {
 			tryGlobal = !p.GlobalMisrouted
 		} else if e.cfg.LocalMisroute && !p.LocalMisrouted && localSat {
@@ -360,7 +360,7 @@ func (e *OFAR) pickAmong(rt *router.Router, base, count, exclude int, th float64
 		// hold only a handful of packets, so a nearly-full "alternative"
 		// is measurement noise, not an escape valve, and chasing it under
 		// symmetric saturation wastes bandwidth on longer paths.
-		if rt.Out[port].Credits(vc) < 2*p.Size {
+		if rt.Out[port].Credits(vc) < 2*rt.PktSize {
 			continue
 		}
 		e.cand = append(e.cand, port)
@@ -393,11 +393,11 @@ func vcFits(rt *router.Router, port int, p *packet.Packet) bool {
 	if op.Dead() {
 		return false
 	}
-	vc := p.GlobalHops
+	vc := int(p.GlobalHops)
 	if n := op.NumVCs(); vc >= n {
 		vc = n - 1
 	}
-	return op.Credits(vc) >= p.Size
+	return op.Credits(vc) >= rt.PktSize
 }
 
 // occFor returns the occupancy fraction used in threshold comparisons: the

@@ -57,9 +57,8 @@ func buildRouter(t *testing.T, d *topology.Dragonfly, id int, withRing bool) *ro
 func newPkt(d *topology.Dragonfly, src, dst int) *packet.Packet {
 	p := &packet.Packet{}
 	p.Reset()
-	p.Size = 8
-	p.Src, p.Dst = src, dst
-	p.SrcGroup, p.DstGroup = d.GroupOfNode(src), d.GroupOfNode(dst)
+	p.Src, p.Dst = int32(src), int32(dst)
+	p.SrcGroup, p.DstGroup = int16(d.GroupOfNode(src)), int16(d.GroupOfNode(dst))
 	return p
 }
 
@@ -82,8 +81,8 @@ func TestOFARMinimalWhenIdle(t *testing.T) {
 	if !ok {
 		t.Fatal("refused on idle router")
 	}
-	if req.Out != d.MinimalPort(0, p.Dst) {
-		t.Errorf("out=%d want minimal %d", req.Out, d.MinimalPort(0, p.Dst))
+	if req.Out != d.MinimalPort(0, int(p.Dst)) {
+		t.Errorf("out=%d want minimal %d", req.Out, d.MinimalPort(0, int(p.Dst)))
 	}
 	if req.SetGlobalMis || req.SetLocalMis || req.Escape {
 		t.Error("idle packet flagged")
@@ -98,12 +97,12 @@ func TestOFARNoMisrouteOnEmptyQueues(t *testing.T) {
 	rt := buildRouter(t, d, 0, true)
 	e := New(d, DefaultConfig())
 	p := newPkt(d, 0, d.Nodes-1)
-	min := d.MinimalPort(0, p.Dst)
+	min := d.MinimalPort(0, int(p.Dst))
 	// Make the minimal port busy without occupying its queue: a zero-size
 	// busy window via another grant is hard to fake, so exhaust one VC and
 	// keep queue occupancy zero is impossible — instead mark port busy by
 	// simulating a serialization in progress.
-	p2 := newPkt(d, 0, p.Dst)
+	p2 := newPkt(d, 0, int(p.Dst))
 	rt.Arrive(0, 0, p2)
 	eng := scriptEngine{out: min}
 	if g := rt.Cycle(eng, 0); len(g) != 1 {
@@ -438,7 +437,7 @@ func TestOFARVariablePolicyStrictness(t *testing.T) {
 	}
 	// Refund the grant's credits so the port is busy with a truly empty
 	// downstream queue (Q_min = 0): nothing is strictly below 0.9·0.
-	rt.AddCredit(min, 0, p2.Size)
+	rt.AddCredit(min, 0, rt.PktSize)
 	req, ok := e.Route(rt, router.InCtx{MinHint: -1, Kind: topology.PortNode, Ring: -1}, p, 1)
 	if ok && (req.SetGlobalMis || req.SetLocalMis) {
 		t.Errorf("variable policy misrouted on a serialization collision: %+v", req)

@@ -9,6 +9,7 @@ import (
 	"strings"
 
 	"ofar/internal/core"
+	"ofar/internal/packet"
 	"ofar/internal/routing"
 )
 
@@ -266,6 +267,14 @@ func (c *Config) groups() int {
 	return c.Groups
 }
 
+// groupsF is groups() in float64, for overflow-free size limits.
+func (c *Config) groupsF() float64 {
+	if c.Groups == 0 {
+		return float64(c.A)*float64(c.H) + 1
+	}
+	return float64(c.Groups)
+}
+
 // PoolWidth is the number of workers a network built from c runs its pooled
 // phases on: Workers, at least 1 and at most the group count, because whole
 // dragonfly groups are the unit of pooled work and workers beyond the
@@ -282,6 +291,16 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("network: p/a/h must be positive")
 	case c.Groups < 0 || c.Groups > c.A*c.H+1:
 		return fmt.Errorf("network: group count %d outside [0, a·h+1=%d]", c.Groups, c.A*c.H+1)
+	// The packet header stores group and node indices in int16 and int32
+	// fields (packet.Packet). The products are taken in float64 so that
+	// absurd p/a/h values cannot wrap around the int range.
+	case c.groupsF() > packet.MaxGroups:
+		return fmt.Errorf("network: %.0f groups exceed the packet header's limit of %d", c.groupsF(), packet.MaxGroups)
+	case float64(c.P)*float64(c.A)*c.groupsF() > packet.MaxNodes:
+		return fmt.Errorf("network: %.0f nodes exceed the packet header's limit of %d",
+			float64(c.P)*float64(c.A)*c.groupsF(), packet.MaxNodes)
+	case c.OFAR.MaxRingExits > packet.MaxRingExits:
+		return fmt.Errorf("network: OFAR ring-exit budget %d exceeds the packet header's limit of %d", c.OFAR.MaxRingExits, packet.MaxRingExits)
 	case c.PacketSize < 1:
 		return fmt.Errorf("network: packet size must be positive")
 	case c.LocalLatency < 1 || c.GlobalLatency < 1:

@@ -123,7 +123,7 @@ func goldenReplayRun(t *testing.T, spec goldenSpec) []byte {
 
 	m := mustNet(t, cfg)
 	t.Cleanup(m.Close)
-	gen, err := traffic.NewTraceReplay(rec.Records(), m.Topo.Nodes)
+	gen, err := traffic.NewTraceReplay(rec.Records(), m.Topo.Nodes, m.Cfg.PacketSize)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,14 +155,17 @@ func goldenSerialize(t *testing.T, n *Network, cfg Config, spec goldenSpec) []by
 	return append(data, '\n')
 }
 
-// checkGolden compares every variant's serialized run — inline, pooled
-// (at the auto cutover and forced through the pool on every phase),
-// scheduler off, route cache off, and mid-run snapshot/restore round trips
-// — against the golden file, rewriting the file first when -update-golden
-// is set (only the inline scheduler-on variant rewrites, so a divergence
-// between variants still fails).
-func checkGolden(t *testing.T, path string, spec goldenSpec) {
+// checkGolden runs the golden scenario of testdata/file (goldenScenarios)
+// and compares every variant's serialized run — inline, pooled (at the auto
+// cutover and forced through the pool on every phase), scheduler off, route
+// cache off, and mid-run snapshot/restore round trips — against the golden
+// file, rewriting the file first when -update-golden is set (only the
+// inline scheduler-on variant rewrites, so a divergence between variants
+// still fails).
+func checkGolden(t *testing.T, file string) {
 	t.Helper()
+	path := filepath.Join("testdata", file)
+	spec := goldenScenarios(t)[file]
 	base := goldenRun(t, spec, goldenVariant{name: "inline"})
 	if *updateGolden {
 		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
@@ -204,6 +207,52 @@ func checkGolden(t *testing.T, path string, spec goldenSpec) {
 	}
 }
 
+// goldenScenarios is the golden matrix: each testdata/golden_*.json file
+// with the scenario it pins. The TestGoldenTrace* gates below each check one
+// entry; checks that must hold across every golden scenario (the packet
+// layout test) walk the whole table.
+func goldenScenarios(t *testing.T) map[string]goldenSpec {
+	t.Helper()
+	faults, err := GlobalLinkFaults(DefaultConfig(3), 500, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return map[string]goldenSpec{
+		"golden_h3.json":        {h: 3, cycles: 2000, load: 0.2},
+		"golden_h3_low.json":    {h: 3, cycles: 2000, load: 0.05},
+		"golden_h3_faults.json": {h: 3, cycles: 2000, load: 0.2, faults: faults},
+		"golden_h6.json":        {h: 6, cycles: 250, load: 0.2},
+		"golden_h3_burst.json": {
+			h: 3, cycles: 400,
+			gen: func(n *Network) traffic.Generator {
+				return traffic.NewBurst(traffic.NewAdv(n.Topo, 1), 24, n.Topo.Nodes)
+			},
+		},
+		"golden_h3_jobs.json": {
+			h: 3, cycles: 400,
+			faults: []Fault{{Cycle: 150, Kind: FaultRouter, Router: 20}},
+			gen: func(n *Network) traffic.Generator {
+				js, err := traffic.NewJobSet(n.Topo, traffic.JobSetConfig{
+					Jobs: []traffic.JobSpec{
+						{Kind: traffic.JobStencil, Nodes: 27, Load: 0.3, Dims: [3]int{3, 3, 3}},
+						{Kind: traffic.JobAll2All, Nodes: 32, Load: 0.4},
+						{Kind: traffic.JobRing, Nodes: 16, Load: 0.2, Start: 50, End: 300},
+						{Kind: traffic.JobParamServer, Nodes: 12, Load: 0.3},
+					},
+					Mapping:    traffic.MapRandom,
+					Background: 0.1,
+					Seed:       7,
+					PacketSize: n.Cfg.PacketSize,
+				})
+				if err != nil {
+					panic(err)
+				}
+				return js
+			},
+		},
+	}
+}
+
 // TestGoldenTraceH3 is the golden-trace regression gate: the first 2000
 // cycles of grant/delivery events of a fixed-seed h=3 OFAR run, serialized
 // to testdata/golden_h3.json, must match byte for byte — inline and pooled,
@@ -217,8 +266,7 @@ func TestGoldenTraceH3(t *testing.T) {
 	if testing.Short() {
 		t.Skip("golden trace runs 2000 full-size h=3 cycles per execution variant")
 	}
-	checkGolden(t, filepath.Join("testdata", "golden_h3.json"),
-		goldenSpec{h: 3, cycles: 2000, load: 0.2})
+	checkGolden(t, "golden_h3.json")
 }
 
 // TestGoldenTraceH3LowLoad pins the same contract in the regime the
@@ -230,8 +278,7 @@ func TestGoldenTraceH3LowLoad(t *testing.T) {
 	if testing.Short() {
 		t.Skip("golden trace runs 2000 full-size h=3 cycles per execution variant")
 	}
-	checkGolden(t, filepath.Join("testdata", "golden_h3_low.json"),
-		goldenSpec{h: 3, cycles: 2000, load: 0.05})
+	checkGolden(t, "golden_h3_low.json")
 }
 
 // TestGoldenTraceH3Faults pins the faulted event stream: the same h=3 OFAR
@@ -245,12 +292,7 @@ func TestGoldenTraceH3Faults(t *testing.T) {
 	if testing.Short() {
 		t.Skip("golden trace runs 2000 full-size h=3 cycles per execution variant")
 	}
-	faults, err := GlobalLinkFaults(DefaultConfig(3), 500, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkGolden(t, filepath.Join("testdata", "golden_h3_faults.json"),
-		goldenSpec{h: 3, cycles: 2000, load: 0.2, faults: faults})
+	checkGolden(t, "golden_h3_faults.json")
 }
 
 // TestGoldenTraceH6 pins a short window of the paper's full-size h=6 system
@@ -262,8 +304,7 @@ func TestGoldenTraceH6(t *testing.T) {
 	if testing.Short() {
 		t.Skip("golden trace runs 250 full-size h=6 cycles per execution variant")
 	}
-	checkGolden(t, filepath.Join("testdata", "golden_h6.json"),
-		goldenSpec{h: 6, cycles: 250, load: 0.2})
+	checkGolden(t, "golden_h6.json")
 }
 
 // TestGoldenTraceBurst pins the generation path of a source that is not
@@ -274,12 +315,7 @@ func TestGoldenTraceBurst(t *testing.T) {
 	if testing.Short() {
 		t.Skip("golden trace runs 400 full-size h=3 cycles per execution variant")
 	}
-	checkGolden(t, filepath.Join("testdata", "golden_h3_burst.json"), goldenSpec{
-		h: 3, cycles: 400,
-		gen: func(n *Network) traffic.Generator {
-			return traffic.NewBurst(traffic.NewAdv(n.Topo, 1), 24, n.Topo.Nodes)
-		},
-	})
+	checkGolden(t, "golden_h3_burst.json")
 }
 
 // TestGoldenTraceJobSet pins the other source that is not group-local: a
@@ -290,26 +326,5 @@ func TestGoldenTraceJobSet(t *testing.T) {
 	if testing.Short() {
 		t.Skip("golden trace runs 400 full-size h=3 cycles per execution variant")
 	}
-	checkGolden(t, filepath.Join("testdata", "golden_h3_jobs.json"), goldenSpec{
-		h: 3, cycles: 400,
-		faults: []Fault{{Cycle: 150, Kind: FaultRouter, Router: 20}},
-		gen: func(n *Network) traffic.Generator {
-			js, err := traffic.NewJobSet(n.Topo, traffic.JobSetConfig{
-				Jobs: []traffic.JobSpec{
-					{Kind: traffic.JobStencil, Nodes: 27, Load: 0.3, Dims: [3]int{3, 3, 3}},
-					{Kind: traffic.JobAll2All, Nodes: 32, Load: 0.4},
-					{Kind: traffic.JobRing, Nodes: 16, Load: 0.2, Start: 50, End: 300},
-					{Kind: traffic.JobParamServer, Nodes: 12, Load: 0.3},
-				},
-				Mapping:    traffic.MapRandom,
-				Background: 0.1,
-				Seed:       7,
-				PacketSize: n.Cfg.PacketSize,
-			})
-			if err != nil {
-				panic(err)
-			}
-			return js
-		},
-	})
+	checkGolden(t, "golden_h3_jobs.json")
 }

@@ -189,7 +189,7 @@ type Network struct {
 	// Job-aware accounting (SetGenerator with a traffic.JobAware source):
 	// node → job slot, consulted once per generated packet to tag it. Nil
 	// under plain generators, keeping their hot path untouched.
-	jobOf []int32
+	jobOf []int16
 
 	// Packet-trace recorder (SetTraceRecorder): every generated packet —
 	// including dead-destination drops, which consume a destination draw —
@@ -537,9 +537,9 @@ func (n *Network) SetGenerator(g traffic.Generator) {
 	_, n.genLocal = g.(traffic.GroupLocalGenerator)
 	n.jobOf = nil
 	if ja, ok := g.(traffic.JobAware); ok {
-		n.jobOf = make([]int32, n.Topo.Nodes)
+		n.jobOf = make([]int16, n.Topo.Nodes)
 		for node := range n.jobOf {
-			n.jobOf[node] = int32(ja.JobOf(node))
+			n.jobOf[node] = int16(ja.JobOf(node))
 		}
 		names := make([]string, ja.NumJobs())
 		nodes := make([]int, ja.NumJobs())
@@ -685,7 +685,7 @@ func (n *Network) applyEffect(kind uint8, p *packet.Packet, now int64) {
 		// just the grant sequence.
 		n.fold(1, now, int64(p.Src), int64(p.Dst), p.Born, p.Injected)
 	}
-	n.Stats.OnDeliver(p.Born, p.Injected, now, p.TotalHops, p.RingHops)
+	n.Stats.OnDeliver(p.Born, p.Injected, now, p.TotalHops(), int(p.RingHops))
 	if p.Job >= 0 {
 		n.Stats.JobDelivered(int(p.Job), now-p.Born)
 	}
@@ -934,7 +934,7 @@ func (n *Network) handle(ev event, idx int32, now int64, sh *groupScratch) {
 			// on this live router is never consumed.
 			up := &n.Routers[ev.r].In[ev.port]
 			if up.UpRouter >= 0 {
-				n.sched(sh, 0, event{kind: evCredit, r: int32(up.UpRouter), port: int16(up.UpPort), vc: ev.vc, phits: int32(ev.pkt.Size)})
+				n.sched(sh, 0, event{kind: evCredit, r: int32(up.UpRouter), port: int16(up.UpPort), vc: ev.vc, phits: int32(n.Cfg.PacketSize)})
 			}
 			n.effect(sh, idx, fxDrop, ev.pkt, now)
 			return
@@ -966,10 +966,9 @@ func (n *Network) handle(ev event, idx int32, now int64, sh *groupScratch) {
 			// whose counters were re-derived against the new downstream
 			// buffer and must not absorb refunds for the old one.
 			lat := n.Routers[upR].Out[upP].Latency
-			n.sched(sh, lat-1, event{kind: evCredit, r: int32(upR), port: int16(upP), vc: ev.vc, phits: int32(p.Size)})
+			n.sched(sh, lat-1, event{kind: evCredit, r: int32(upR), port: int16(upP), vc: ev.vc, phits: int32(r.PktSize)})
 		}
 		if ev.kind == evDrainDeliver {
-			p.Done = now
 			n.effect(sh, idx, fxDeliver, p, now)
 		}
 	case evCredit:
@@ -1061,10 +1060,9 @@ func (n *Network) generateGroup(g int, eng router.Engine, now int64) {
 				sh.blocked++
 			} else {
 				p := n.poolG[g].GetBlank()
-				p.Size = n.Cfg.PacketSize
-				p.Src, p.Dst = node, dst
-				p.SrcGroup = g
-				p.DstGroup = topo.GroupOfNode(dst)
+				p.Src, p.Dst = int32(node), int32(dst)
+				p.SrcGroup = int16(g)
+				p.DstGroup = int16(topo.GroupOfNode(dst))
 				p.Born = now
 				if n.jobOf != nil {
 					p.Job = n.jobOf[node]
@@ -1080,7 +1078,7 @@ func (n *Network) generateGroup(g int, eng router.Engine, now int64) {
 				continue
 			}
 			port := topo.NodePort(topo.NodeSlot(node))
-			if vc, ok := r.InjectionSpace(port, p.Size); ok {
+			if vc, ok := r.InjectionSpace(port, n.Cfg.PacketSize); ok {
 				pq.pop()
 				r.Inject(port, vc, p, now)
 				if n.schedOn {
@@ -1159,11 +1157,11 @@ func (n *Network) putPacket(p *packet.Packet) {
 func (n *Network) commitSched(r *router.Router, g *router.Grant, now int64, sh *groupScratch) {
 	p := g.Pkt
 	if g.Eject {
-		n.sched(sh, p.Size-1, event{kind: evDrainDeliver, r: int32(r.ID), port: int16(g.InPort), vc: int16(g.InVC)})
+		n.sched(sh, r.PktSize-1, event{kind: evDrainDeliver, r: int32(r.ID), port: int16(g.InPort), vc: int16(g.InVC)})
 	} else {
 		out := &r.Out[g.Req.Out]
 		n.sched(sh, out.Latency, event{kind: evArrive, pkt: p, r: int32(out.Peer), port: int16(out.PeerPort), vc: int16(g.Req.VC)})
-		n.sched(sh, p.Size-1, event{kind: evDrain, r: int32(r.ID), port: int16(g.InPort), vc: int16(g.InVC)})
+		n.sched(sh, r.PktSize-1, event{kind: evDrain, r: int32(r.ID), port: int16(g.InPort), vc: int16(g.InVC)})
 	}
 }
 
@@ -1180,7 +1178,7 @@ func (n *Network) commitStats(r *router.Router, g *router.Grant, now int64) {
 			n.grantLog = append(n.grantLog, GrantEvent{
 				Cycle: now, Router: r.ID, InPort: g.InPort, InVC: g.InVC,
 				Out: g.Req.Out, VC: g.Req.VC,
-				Src: p.Src, Dst: p.Dst, Born: p.Born, Eject: g.Eject,
+				Src: int(p.Src), Dst: int(p.Dst), Born: p.Born, Eject: g.Eject,
 			})
 		}
 	}
@@ -1195,7 +1193,7 @@ func (n *Network) commitStats(r *router.Router, g *router.Grant, now int64) {
 			}
 		}
 	}
-	n.Stats.AddUtilization(r.ID, g.Req.Out, p.Size)
+	n.Stats.AddUtilization(r.ID, g.Req.Out, r.PktSize)
 	if g.Req.SetGlobalMis {
 		n.Stats.GlobalMisroutes++
 	}
@@ -1212,11 +1210,11 @@ func (n *Network) commitStats(r *router.Router, g *router.Grant, now int64) {
 		n.Stats.RingHops++
 	}
 	if n.faultIdx > 0 && (g.Req.SetGlobalMis || g.Req.SetLocalMis || g.Req.EnterRing) &&
-		r.OutputDead(n.Topo.MinimalPort(r.ID, p.Dst)) {
+		r.OutputDead(n.Topo.MinimalPort(r.ID, int(p.Dst))) {
 		// The packet left its minimal path while the minimal output here is
 		// dead: the fault, not ordinary congestion, forced the detour.
 		n.Stats.FaultReroutes++
-		n.Stats.NoteAffectedFlow(p.Src, p.Dst)
+		n.Stats.NoteAffectedFlow(int(p.Src), int(p.Dst))
 	}
 }
 

@@ -1,6 +1,7 @@
 package network
 
 import (
+	"strings"
 	"testing"
 
 	"ofar/internal/topology"
@@ -377,6 +378,41 @@ func TestPhysicalRingWiring(t *testing.T) {
 		if in.UpRouter != r {
 			t.Fatalf("router %d ring in upstream %d, want %d", rg.Next(r), in.UpRouter, r)
 		}
+	}
+}
+
+// TestValidatePacketHeaderLimits: configurations whose group, node or
+// ring-exit values the compact packet header cannot represent are refused,
+// each with its own error, and the largest representable values pass the
+// header checks.
+func TestValidatePacketHeaderLimits(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		mut  func(*Config)
+		want string // error substring; "" = passes the header checks
+	}{
+		{"groups-32768", func(c *Config) { c.P, c.A, c.H, c.Groups = 1, 4097, 8, 32768 }, "groups exceed"},
+		{"groups-a·h+1", func(c *Config) { c.P, c.A, c.H, c.Groups = 1, 200, 200, 0 }, "groups exceed"},
+		{"groups-32767", func(c *Config) { c.P, c.A, c.H, c.Groups = 1, 4096, 8, 32767 }, ""},
+		{"nodes-2^31", func(c *Config) { c.P, c.A, c.H, c.Groups = 1<<16, 1<<11, 16, 1<<4 }, "nodes exceed"},
+		{"nodes-2^31-1", func(c *Config) { c.P, c.A, c.H, c.Groups = 127, 1<<10, 17, 16513 }, ""},
+		{"nodes-wrap", func(c *Config) { c.P, c.A, c.H, c.Groups = 1<<62, 1<<10, 16, 2 }, "nodes exceed"},
+		{"ring-exits-255", func(c *Config) { c.OFAR.MaxRingExits = 255 }, "ring-exit budget"},
+		{"ring-exits-254", func(c *Config) { c.OFAR.MaxRingExits = 254 }, ""},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := DefaultConfig(2)
+			tc.mut(&cfg)
+			err := cfg.Validate()
+			switch {
+			case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
+				t.Errorf("err = %v, want one containing %q", err, tc.want)
+			case tc.want == "" && err != nil && !strings.Contains(err.Error(), "router radix"):
+				// The radix check comes after the header checks: these
+				// shapes are far beyond 64 ports, so reaching it is passing.
+				t.Errorf("representable config refused before the radix check: %v", err)
+			}
+		})
 	}
 }
 

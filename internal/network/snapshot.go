@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"sort"
 	"sync"
 
@@ -318,7 +319,7 @@ func (n *Network) encodePayload(e *simcore.Enc) {
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	e.Int(len(ids))
 	for _, id := range ids {
-		encodePacket(e, table[id])
+		n.encodePacket(e, table[id])
 	}
 
 	e.Int(len(n.pending))
@@ -630,79 +631,120 @@ func (n *Network) decodePayload(d *simcore.Dec) error {
 	return nil
 }
 
-func encodePacket(e *simcore.Enc, p *packet.Packet) {
+// encodePacket appends one packet record. The record keeps the layout of
+// the wide packet header the format was defined with: the packet size (the
+// configured one — every packet has it), the total hop count (derived) and
+// a delivery time, which is 0 for every packet still in the network.
+func (n *Network) encodePacket(e *simcore.Enc, p *packet.Packet) {
 	e.U64(uint64(p.ID))
-	e.Int(p.Size)
-	e.Int(p.Dst)
-	e.Int(p.SrcGroup)
-	e.Int(p.DstGroup)
-	e.Int(p.ValiantGroup)
+	e.Int(n.Cfg.PacketSize)
+	e.Int(int(p.Dst))
+	e.Int(int(p.SrcGroup))
+	e.Int(int(p.DstGroup))
+	e.Int(int(p.ValiantGroup))
 	e.I64(p.BlockedSince)
 	e.Bool(p.GlobalMisrouted)
 	e.Bool(p.LocalMisrouted)
 	e.Bool(p.OnRing)
 	e.I64(int64(p.Ring))
-	e.Int(p.LocalHops)
-	e.Int(p.GlobalHops)
-	e.Int(p.Src)
-	e.Int(p.MisrouteGroup)
-	e.Int(p.TotalHops)
-	e.Int(p.RingExits)
-	e.Int(p.RingHops)
+	e.Int(int(p.LocalHops))
+	e.Int(int(p.GlobalHops))
+	e.Int(int(p.Src))
+	e.Int(int(p.MisrouteGroup))
+	e.Int(p.TotalHops())
+	e.Int(int(p.RingExits))
+	e.Int(int(p.RingHops))
 	e.I64(int64(p.Job))
 	e.I64(p.Born)
 	e.I64(p.Injected)
-	e.I64(p.Done)
+	e.I64(0) // delivery time
 }
 
 // decodePacket fills p from d and returns the packet's ID (0 on decode
-// error). Field ranges are validated against this network's topology.
+// error). Every field is range-checked before it is narrowed into the
+// packet: endpoints and groups against this network's topology (whose node
+// and group counts Config.Validate bounds to the packet's int32 and int16
+// fields), hop counters and the job slot against their field widths, and the
+// derived total hop count and the delivery time against the values encode
+// writes.
 func (n *Network) decodePacket(d *simcore.Dec, p *packet.Packet) uint64 {
 	id := d.U64()
-	p.ID = packet.ID(id)
-	p.Size = d.Int()
-	p.Dst = d.Int()
-	p.SrcGroup = d.Int()
-	p.DstGroup = d.Int()
-	p.ValiantGroup = d.Int()
-	p.BlockedSince = d.I64()
-	p.GlobalMisrouted = d.Bool()
-	p.LocalMisrouted = d.Bool()
-	p.OnRing = d.Bool()
+	size := d.I64()
+	dst := d.I64()
+	srcGroup := d.I64()
+	dstGroup := d.I64()
+	valiant := d.I64()
+	blocked := d.I64()
+	globalMis := d.Bool()
+	localMis := d.Bool()
+	onRing := d.Bool()
 	ring := d.I64()
-	p.LocalHops = d.Int()
-	p.GlobalHops = d.Int()
-	p.Src = d.Int()
-	p.MisrouteGroup = d.Int()
-	p.TotalHops = d.Int()
-	p.RingExits = d.Int()
-	p.RingHops = d.Int()
+	localHops := d.I64()
+	globalHops := d.I64()
+	src := d.I64()
+	misGroup := d.I64()
+	totalHops := d.I64()
+	ringExits := d.I64()
+	ringHops := d.I64()
 	job := d.I64()
-	p.Born = d.I64()
-	p.Injected = d.I64()
-	p.Done = d.I64()
+	born := d.I64()
+	injected := d.I64()
+	done := d.I64()
 	if d.Err() != nil {
 		return 0
 	}
+	nodes, groups := int64(n.Topo.Nodes), int64(n.Topo.G)
 	switch {
 	case id == 0:
 		d.Fail("packet ID 0 (IDs start at 1)")
-	case p.Size != n.Cfg.PacketSize:
-		d.Fail("packet %d size %d != configured %d", id, p.Size, n.Cfg.PacketSize)
-	case p.Src < 0 || p.Src >= n.Topo.Nodes || p.Dst < 0 || p.Dst >= n.Topo.Nodes:
-		d.Fail("packet %d endpoints %d→%d outside [0,%d)", id, p.Src, p.Dst, n.Topo.Nodes)
-	case p.SrcGroup < 0 || p.SrcGroup >= n.Topo.G || p.DstGroup < 0 || p.DstGroup >= n.Topo.G:
+	case size != int64(n.Cfg.PacketSize):
+		d.Fail("packet %d size %d != configured %d", id, size, n.Cfg.PacketSize)
+	case src < 0 || src >= nodes || dst < 0 || dst >= nodes:
+		d.Fail("packet %d endpoints %d→%d outside [0,%d)", id, src, dst, nodes)
+	case srcGroup < 0 || srcGroup >= groups || dstGroup < 0 || dstGroup >= groups:
 		d.Fail("packet %d group fields out of range", id)
-	case p.ValiantGroup < -1 || p.ValiantGroup >= n.Topo.G || p.MisrouteGroup < -1 || p.MisrouteGroup >= n.Topo.G:
+	case valiant < -1 || valiant >= groups || misGroup < -1 || misGroup >= groups:
 		d.Fail("packet %d intermediate-group fields out of range", id)
-	case ring < -1 || ring > 127:
+	case ring < -1 || ring > math.MaxInt8:
 		d.Fail("packet %d ring %d outside int8", id, ring)
-	case job < -1 || job >= int64(n.Stats.Jobs()):
+	case localHops < 0 || localHops > math.MaxInt16 || globalHops < 0 || globalHops > math.MaxInt16:
+		d.Fail("packet %d hop classes %d/%d outside int16", id, localHops, globalHops)
+	case ringHops < 0 || ringHops > math.MaxInt32:
+		d.Fail("packet %d ring hops %d outside int32", id, ringHops)
+	case ringExits < 0 || ringExits > math.MaxUint8:
+		d.Fail("packet %d ring exits %d outside uint8", id, ringExits)
+	case totalHops != localHops+globalHops+ringHops:
+		d.Fail("packet %d total hops %d != %d local + %d global + %d ring", id, totalHops, localHops, globalHops, ringHops)
+	case done != 0:
+		d.Fail("packet %d carries delivery time %d (in-network packets have none)", id, done)
+	case job < -1 || job >= int64(n.Stats.Jobs()) || job > math.MaxInt16:
 		// -1 (untagged) is always valid; a tagged packet needs its slot to
 		// exist in the attached generator's job table.
 		d.Fail("packet %d job slot %d outside the %d enabled slots", id, job, n.Stats.Jobs())
 	}
-	p.Ring = int8(ring)
-	p.Job = int32(job)
+	if d.Err() != nil {
+		return 0
+	}
+	*p = packet.Packet{
+		BlockedSince:    blocked,
+		Dst:             int32(dst),
+		Src:             int32(src),
+		SrcGroup:        int16(srcGroup),
+		DstGroup:        int16(dstGroup),
+		ValiantGroup:    int16(valiant),
+		MisrouteGroup:   int16(misGroup),
+		LocalHops:       int16(localHops),
+		GlobalHops:      int16(globalHops),
+		GlobalMisrouted: globalMis,
+		LocalMisrouted:  localMis,
+		OnRing:          onRing,
+		Ring:            int8(ring),
+		RingExits:       uint8(ringExits),
+		Job:             int16(job),
+		RingHops:        int32(ringHops),
+		ID:              packet.ID(id),
+		Born:            born,
+		Injected:        injected,
+	}
 	return id
 }

@@ -15,12 +15,14 @@ import (
 // stepping the restored network must preserve packet conservation.
 //
 // The seed corpus holds real snapshots — cold, warm, and warm-with-faults —
-// so mutations explore the format's interior, not just the magic check.
+// so mutations explore the format's interior, not just the magic check, plus
+// warm images with one packet's group, hop or job field patched beyond what
+// the compact packet header holds.
 func FuzzSnapshotRoundTrip(f *testing.F) {
 	cfg := DefaultConfig(2)
 	cfg.Seed = 5
 
-	seed := func(cycles int, withFault bool) []byte {
+	build := func(cycles int, withFault bool) (*Network, []byte) {
 		c := cfg
 		if withFault {
 			c.Faults = []Fault{{Cycle: 60, Kind: FaultRouter, Router: 3}}
@@ -36,11 +38,23 @@ func FuzzSnapshotRoundTrip(f *testing.F) {
 		if err := n.Snapshot(&buf); err != nil {
 			f.Fatal(err)
 		}
-		return buf.Bytes()
+		return n, buf.Bytes()
+	}
+	seed := func(cycles int, withFault bool) []byte {
+		_, img := build(cycles, withFault)
+		return img
 	}
 	f.Add(seed(0, false))
 	f.Add(seed(150, false))
 	f.Add(seed(150, true)) // config mismatch vs the target: exercises rejection
+	warm, img := build(150, false)
+	p := hoppedPacket(f, warm)
+	f.Add(patchPacketRecord(f, warm, img, p, recSrcGroup, 40000))
+	f.Add(patchPacketRecord(f, warm, img, p, recValiant, 1<<16))
+	f.Add(patchPacketRecord(f, warm, img, p, recLocalHops, 1<<15))
+	f.Add(patchPacketRecord(f, warm, img, p, recRingHops, 1<<31))
+	f.Add(patchPacketRecord(f, warm, img, p, recRingExits, 256))
+	f.Add(patchPacketRecord(f, warm, img, p, recJob, 1<<15))
 	f.Add([]byte("OFARSNAP"))
 	f.Add([]byte{})
 

@@ -2,9 +2,13 @@ package network
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"strings"
 	"testing"
 
+	"ofar/internal/packet"
+	"ofar/internal/simcore"
 	"ofar/internal/traffic"
 )
 
@@ -357,5 +361,123 @@ func TestRestoreRejects(t *testing.T) {
 	mis.SetGenerator(traffic.NewBernoulli(traffic.NewUniform(mis.Topo), 0.6, other.PacketSize))
 	if err := mis.Restore(bytes.NewReader(snap)); err == nil {
 		t.Fatal("restore accepted a snapshot from a different configuration")
+	}
+}
+
+// Byte offsets of fields within one encoded packet record (encodePacket):
+// 8-byte integers except the three flags, which are one byte each.
+const (
+	recSize      = 8
+	recDst       = 16
+	recSrcGroup  = 24
+	recValiant   = 40
+	recRing      = 59
+	recLocalHops = 67
+	recGlobalHop = 75
+	recSrc       = 83
+	recMisGroup  = 91
+	recTotalHops = 99
+	recRingExits = 107
+	recRingHops  = 115
+	recJob       = 123
+	recDone      = 147
+	recLen       = 155
+)
+
+// hoppedPacket returns a buffered packet of n that has crossed at least one
+// link, so its hop fields are non-trivial.
+func hoppedPacket(t testing.TB, n *Network) *packet.Packet {
+	t.Helper()
+	var found *packet.Packet
+	for _, r := range n.Routers {
+		r.ForEachPacket(func(p *packet.Packet) {
+			if found == nil && p.TotalHops() > 0 {
+				found = p
+			}
+		})
+	}
+	if found == nil {
+		t.Fatal("no buffered packet has crossed a link")
+	}
+	return found
+}
+
+// patchPacketRecord returns a copy of n's snapshot image img in which the
+// 8-byte field at offset off of p's packet record holds v, with the payload
+// checksum recomputed — a well-formed image whose only defect is the value.
+func patchPacketRecord(t testing.TB, n *Network, img []byte, p *packet.Packet, off int, v int64) []byte {
+	t.Helper()
+	var e simcore.Enc
+	n.encodePacket(&e, p)
+	rec := e.Data()
+	if len(rec) != recLen {
+		t.Fatalf("packet record is %d bytes, the offsets assume %d", len(rec), recLen)
+	}
+	cfgJSON, err := SnapshotConfigJSON(n.Cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// magic, version, engine digest, framed config, checksum, payload length
+	sumAt := 8 + 8 + 8 + 8 + len(cfgJSON)
+	payloadAt := sumAt + 16
+	out := append([]byte(nil), img...)
+	if bytes.Count(out[payloadAt:], rec) != 1 {
+		t.Fatal("packet record not found exactly once in the image")
+	}
+	at := payloadAt + bytes.Index(out[payloadAt:], rec) + off
+	binary.LittleEndian.PutUint64(out[at:], uint64(v))
+	binary.LittleEndian.PutUint64(out[sumAt:], simcore.Checksum64(out[payloadAt:]))
+	return out
+}
+
+// TestSnapshotRejectsOutOfRangePacket: the decoder range-checks every
+// packet field before narrowing it into the compact header, and requires the
+// derived total hop count and the absent delivery time to be what the
+// encoder writes. Each case patches one field of one packet record of a
+// valid image; the unpatched image must restore.
+func TestSnapshotRejectsOutOfRangePacket(t *testing.T) {
+	cfg := DefaultConfig(2)
+	cfg.Seed = 7
+	n := snapNet(t, cfg, 0.6)
+	n.Run(150)
+	img := snapshotBytes(t, n)
+	p := hoppedPacket(t, n)
+	total := int64(p.TotalHops())
+	restore := func(data []byte) error {
+		m := snapNet(t, cfg, 0.6)
+		return m.Restore(bytes.NewReader(data))
+	}
+	if err := restore(patchPacketRecord(t, n, img, p, recTotalHops, total)); err != nil {
+		t.Fatalf("unchanged record refused: %v", err)
+	}
+	for _, tc := range []struct {
+		name string
+		off  int
+		v    int64
+		want string
+	}{
+		{"size", recSize, 16, "size"},
+		{"dst-beyond-int32", recDst, 1 << 40, "endpoints"},
+		{"src-negative", recSrc, -1, "endpoints"},
+		{"src-group-beyond-int16", recSrcGroup, 40000, "group fields"},
+		{"src-group-beyond-topology", recSrcGroup, int64(n.Topo.G), "group fields"},
+		{"valiant-below-sentinel", recValiant, -2, "intermediate-group"},
+		{"misroute-group-beyond-int16", recMisGroup, 1 << 20, "intermediate-group"},
+		{"ring-beyond-int8", recRing, 128, "ring"},
+		{"local-hops-beyond-int16", recLocalHops, 40000, "hop classes"},
+		{"global-hops-negative", recGlobalHop, -1, "hop classes"},
+		{"ring-hops-beyond-int32", recRingHops, 1 << 31, "ring hops"},
+		{"ring-exits-beyond-uint8", recRingExits, 256, "ring exits"},
+		{"total-hops-off-by-one", recTotalHops, total + 1, "total hops"},
+		{"delivered", recDone, 5, "delivery time"},
+		{"job-beyond-int16", recJob, 40000, "job slot"},
+		{"job-unattached", recJob, 0, "job slot"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			err := restore(patchPacketRecord(t, n, img, p, tc.off, tc.v))
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("err = %v, want one containing %q", err, tc.want)
+			}
+		})
 	}
 }

@@ -92,11 +92,11 @@ func TestEnterGroupQuick(t *testing.T) {
 		var p Packet
 		p.Reset()
 		p.LocalMisrouted = true
-		p.MisrouteGroup = int(misG)
+		p.MisrouteGroup = int16(misG)
 		for _, g := range groups {
 			p.EnterGroup(int(g))
 			// Invariant: the flag may only be set while in its group.
-			if p.LocalMisrouted && p.MisrouteGroup != int(misG) {
+			if p.LocalMisrouted && p.MisrouteGroup != int16(misG) {
 				return false
 			}
 			if p.LocalMisrouted && int(g) != int(misG) {

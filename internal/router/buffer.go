@@ -15,9 +15,11 @@ import (
 )
 
 // VCBuffer is one virtual-channel FIFO of an input port. Occupancy is
-// tracked in phits; the packet at the head may additionally be "draining"
-// (it won switch allocation and its phits are streaming out), during which
-// it is not eligible for routing.
+// tracked in phits; every packet is the network's packet size, which the
+// owning router passes to Push, DropQueued and FinishDrain, so the buffer
+// never dereferences a packet. The packet at the head may additionally be
+// "draining" (it won switch allocation and its phits are streaming out),
+// during which it is not eligible for routing.
 type VCBuffer struct {
 	// Escape marks the buffer as part of the escape subnetwork (a ring
 	// port's VC or an embedded escape VC); Ring identifies which ring
@@ -87,26 +89,27 @@ func (b *VCBuffer) Head() *packet.Packet {
 // Draining reports whether the head packet is currently streaming out.
 func (b *VCBuffer) Draining() bool { return b.draining }
 
-// Push appends a packet. The caller must have verified space; credit-based
-// flow control guarantees it for network traffic, and sources check Free
-// before injecting. Push panics on overflow because an overflow means a
-// credit-accounting bug, not a runtime condition.
-func (b *VCBuffer) Push(p *packet.Packet) {
-	if p.Size > b.Free() {
+// Push appends a packet of size phits. The caller must have verified space;
+// credit-based flow control guarantees it for network traffic, and sources
+// check Free before injecting. Push panics on overflow because an overflow
+// means a credit-accounting bug, not a runtime condition.
+func (b *VCBuffer) Push(p *packet.Packet, size int) {
+	if size > b.Free() {
 		panic("router: VC buffer overflow (credit accounting bug)")
 	}
 	if b.Len() == 0 {
 		b.invalidateCache() // the pushed packet becomes the head
 	}
 	b.q = append(b.q, p)
-	b.occupied += p.Size
+	b.occupied += size
 }
 
-// DropQueued removes every queued packet except a draining head (whose
-// phits are already committed to the crossbar and must finish via
-// FinishDrain), calling visit for each removed packet. Used when a router
-// fails: its buffered traffic is lost and must be accounted explicitly.
-func (b *VCBuffer) DropQueued(visit func(*packet.Packet)) {
+// DropQueued removes every queued packet (each of size phits) except a
+// draining head (whose phits are already committed to the crossbar and must
+// finish via FinishDrain), calling visit for each removed packet. Used when
+// a router fails: its buffered traffic is lost and must be accounted
+// explicitly.
+func (b *VCBuffer) DropQueued(size int, visit func(*packet.Packet)) {
 	if b.Len() == 0 {
 		return
 	}
@@ -117,7 +120,7 @@ func (b *VCBuffer) DropQueued(visit func(*packet.Packet)) {
 	}
 	for i := start; i < len(b.q); i++ {
 		p := b.q[i]
-		b.occupied -= p.Size
+		b.occupied -= size
 		b.q[i] = nil
 		visit(p)
 	}
@@ -137,8 +140,8 @@ func (b *VCBuffer) BeginDrain() {
 	b.draining = true
 }
 
-// FinishDrain removes the head packet and frees its space.
-func (b *VCBuffer) FinishDrain() *packet.Packet {
+// FinishDrain removes the head packet and frees its size phits.
+func (b *VCBuffer) FinishDrain(size int) *packet.Packet {
 	if !b.draining {
 		panic("router: FinishDrain without BeginDrain")
 	}
@@ -156,7 +159,7 @@ func (b *VCBuffer) FinishDrain() *packet.Packet {
 		b.q = b.q[:n]
 		b.head = 0
 	}
-	b.occupied -= p.Size
+	b.occupied -= size
 	b.draining = false
 	b.invalidateCache() // whatever queued behind p is the new head
 	return p

@@ -7,12 +7,6 @@ import (
 	"ofar/internal/packet"
 )
 
-func mkPkt(pool *packet.Pool, size int) *packet.Packet {
-	p := pool.Get()
-	p.Size = size
-	return p
-}
-
 func TestVCBufferBasics(t *testing.T) {
 	var pool packet.Pool
 	var b VCBuffer
@@ -23,10 +17,10 @@ func TestVCBufferBasics(t *testing.T) {
 	if b.Len() != 0 || b.Occupied() != 0 || b.Free() != 32 || b.Head() != nil {
 		t.Error("fresh buffer not empty")
 	}
-	p1 := mkPkt(&pool, 8)
-	p2 := mkPkt(&pool, 8)
-	b.Push(p1)
-	b.Push(p2)
+	p1 := pool.Get()
+	p2 := pool.Get()
+	b.Push(p1, 8)
+	b.Push(p2, 8)
 	if b.Len() != 2 || b.Occupied() != 16 || b.Free() != 16 {
 		t.Errorf("len=%d occ=%d free=%d", b.Len(), b.Occupied(), b.Free())
 	}
@@ -37,7 +31,7 @@ func TestVCBufferBasics(t *testing.T) {
 	if !b.Draining() {
 		t.Error("not draining")
 	}
-	if got := b.FinishDrain(); got != p1 {
+	if got := b.FinishDrain(8); got != p1 {
 		t.Error("drained wrong packet")
 	}
 	if b.Draining() || b.Len() != 1 || b.Occupied() != 8 {
@@ -60,13 +54,13 @@ func TestVCBufferOverflowPanics(t *testing.T) {
 	var pool packet.Pool
 	var b VCBuffer
 	b.Init(8, -1)
-	b.Push(mkPkt(&pool, 8))
+	b.Push(pool.Get(), 8)
 	defer func() {
 		if recover() == nil {
 			t.Error("expected overflow panic")
 		}
 	}()
-	b.Push(mkPkt(&pool, 8))
+	b.Push(pool.Get(), 8)
 }
 
 func TestVCBufferDrainPanics(t *testing.T) {
@@ -75,7 +69,7 @@ func TestVCBufferDrainPanics(t *testing.T) {
 	if didPanic(func() { b.BeginDrain() }) == false {
 		t.Error("BeginDrain on empty buffer must panic")
 	}
-	if didPanic(func() { b.FinishDrain() }) == false {
+	if didPanic(func() { b.FinishDrain(8) }) == false {
 		t.Error("FinishDrain without BeginDrain must panic")
 	}
 }
@@ -96,12 +90,12 @@ func TestVCBufferFIFOQuick(t *testing.T) {
 		var expect []*packet.Packet
 		for _, push := range ops {
 			if push {
-				p := mkPkt(&pool, 4)
-				b.Push(p)
+				p := pool.Get()
+				b.Push(p, 4)
 				expect = append(expect, p)
 			} else if len(expect) > 0 {
 				b.BeginDrain()
-				got := b.FinishDrain()
+				got := b.FinishDrain(4)
 				if got != expect[0] {
 					return false
 				}
@@ -125,12 +119,12 @@ func TestVCBufferCompaction(t *testing.T) {
 	// Interleave enough pushes and drains to force the head-compaction path.
 	var live []*packet.Packet
 	for i := 0; i < 500; i++ {
-		p := mkPkt(&pool, 2)
-		b.Push(p)
+		p := pool.Get()
+		b.Push(p, 2)
 		live = append(live, p)
 		if i%3 != 0 {
 			b.BeginDrain()
-			if got := b.FinishDrain(); got != live[0] {
+			if got := b.FinishDrain(2); got != live[0] {
 				t.Fatalf("iteration %d: wrong packet", i)
 			}
 			live = live[1:]
@@ -138,7 +132,7 @@ func TestVCBufferCompaction(t *testing.T) {
 	}
 	for len(live) > 0 {
 		b.BeginDrain()
-		if got := b.FinishDrain(); got != live[0] {
+		if got := b.FinishDrain(2); got != live[0] {
 			t.Fatal("tail drain order broken")
 		}
 		live = live[1:]

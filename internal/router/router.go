@@ -398,7 +398,7 @@ func (r *Router) DropBuffered(visit func(*packet.Packet)) {
 				r.In[i].ready &^= 1 << uint(vc)
 			}
 			before := buf.Occupied()
-			buf.DropQueued(visit)
+			buf.DropQueued(r.PktSize, visit)
 			if !buf.Escape {
 				r.occPhits -= before - buf.Occupied()
 			}
@@ -492,11 +492,10 @@ func (r *Router) Arrive(port, vc int, p *packet.Packet) {
 		r.readyPorts |= 1 << uint(port)
 		r.headChanged |= 1 << uint(port)
 	}
-	buf.Push(p)
+	buf.Push(p, r.PktSize)
 	if !buf.Escape {
-		r.occPhits += p.Size
+		r.occPhits += r.PktSize
 	}
-	p.TotalHops++
 	if buf.Escape {
 		p.RingHops++
 	} else {
@@ -514,10 +513,11 @@ func (r *Router) Arrive(port, vc int, p *packet.Packet) {
 // FinishDrain completes the transfer of the head packet of (port, vc),
 // freeing its buffer space. It returns the packet and the upstream output
 // coordinates that must be refunded (upRouter == -1 for injection buffers).
+// It never dereferences the packet: every packet is PktSize phits.
 func (r *Router) FinishDrain(port, vc int) (p *packet.Packet, upRouter, upPort int) {
 	inp := &r.In[port]
 	buf := &inp.VCs[vc]
-	p = buf.FinishDrain()
+	p = buf.FinishDrain(r.PktSize)
 	if buf.Len() > 0 {
 		r.readyVCs++ // the queued packet behind the drained head is now routable
 		inp.ready |= 1 << uint(vc)
@@ -525,7 +525,7 @@ func (r *Router) FinishDrain(port, vc int) (p *packet.Packet, upRouter, upPort i
 		r.headChanged |= 1 << uint(port)
 	}
 	if !buf.Escape {
-		r.occPhits -= p.Size
+		r.occPhits -= r.PktSize
 	}
 	return p, inp.UpRouter, inp.UpPort
 }
@@ -566,8 +566,8 @@ func (r *Router) Inject(port, vc int, p *packet.Packet, now int64) {
 		r.readyPorts |= 1 << uint(port)
 		r.headChanged |= 1 << uint(port)
 	}
-	buf.Push(p)
-	r.occPhits += p.Size
+	buf.Push(p, r.PktSize)
+	r.occPhits += r.PktSize
 }
 
 // HasRoutableWork reports whether any input VC holds a routable head (non-
@@ -998,7 +998,7 @@ func (r *Router) commit(ip, vc int, req Request, now int64) {
 	if inp.ready == 0 {
 		r.readyPorts &^= 1 << uint(ip)
 	}
-	size := int64(p.Size)
+	size := int64(r.PktSize)
 	inp.busyUntil = now + size
 	out := &r.Out[req.Out]
 	out.busyUntil = now + size
@@ -1013,7 +1013,7 @@ func (r *Router) commit(ip, vc int, req Request, now int64) {
 	}
 	eject := out.Kind == topology.PortNode
 	if !eject {
-		out.Take(req.VC, p.Size)
+		out.Take(req.VC, r.PktSize)
 		if r.pb != nil && out.Kind == topology.PortGlobal {
 			r.pbDirty = true
 		}
@@ -1023,7 +1023,7 @@ func (r *Router) commit(ip, vc int, req Request, now int64) {
 	}
 	if req.SetLocalMis {
 		p.LocalMisrouted = true
-		p.MisrouteGroup = r.Group
+		p.MisrouteGroup = int16(r.Group)
 	}
 	if req.EnterRing {
 		p.OnRing = true

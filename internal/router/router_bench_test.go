@@ -29,7 +29,6 @@ func BenchmarkCycleLoaded(b *testing.B) {
 	for ip := range r.In {
 		for vc := range r.In[ip].VCs {
 			p := pool.Get()
-			p.Size = 8
 			r.Arrive(ip, vc, p)
 		}
 	}

@@ -49,7 +49,6 @@ func testRouter(t *testing.T, vcsPerPort int) *Router {
 
 func push(r *Router, port, vc int, pool *packet.Pool) *packet.Packet {
 	p := pool.Get()
-	p.Size = 8
 	p.Dst = 0
 	// Arrive, not a raw buffer Push: Cycle iterates the per-port ready
 	// bitsets, which only the router's own entry points maintain.
@@ -222,7 +221,7 @@ func TestCommitAppliesHeaderFlags(t *testing.T) {
 	if !p.GlobalMisrouted || !p.LocalMisrouted {
 		t.Error("flags not applied on commit")
 	}
-	if p.MisrouteGroup != r.Group {
+	if int(p.MisrouteGroup) != r.Group {
 		t.Errorf("MisrouteGroup=%d want %d", p.MisrouteGroup, r.Group)
 	}
 	if p.BlockedSince != -1 {
@@ -271,13 +270,12 @@ func TestArriveUpdatesHeader(t *testing.T) {
 
 	var pool packet.Pool
 	p := pool.Get()
-	p.Size = 8
 	p.LocalMisrouted = true
 	p.MisrouteGroup = 5 // set in another group
 	p.ValiantGroup = 0  // this router's group is the valiant target
 	r.Arrive(1, 0, p)
-	if p.LocalHops != 1 || p.GlobalHops != 0 || p.TotalHops != 1 {
-		t.Errorf("hops after local arrive: %d/%d/%d", p.LocalHops, p.GlobalHops, p.TotalHops)
+	if p.LocalHops != 1 || p.GlobalHops != 0 || p.TotalHops() != 1 {
+		t.Errorf("hops after local arrive: %d/%d/%d", p.LocalHops, p.GlobalHops, p.TotalHops())
 	}
 	if p.LocalMisrouted {
 		t.Error("local-misroute flag not reset on group change")
@@ -286,7 +284,6 @@ func TestArriveUpdatesHeader(t *testing.T) {
 		t.Error("valiant group not cleared on arrival at the target group")
 	}
 	p2 := pool.Get()
-	p2.Size = 8
 	r.Arrive(2, 0, p2)
 	if p2.GlobalHops != 1 || p2.LocalHops != 0 {
 		t.Errorf("hops after global arrive: %d/%d", p2.LocalHops, p2.GlobalHops)
@@ -306,7 +303,6 @@ func TestInjectionSpaceAndInject(t *testing.T) {
 			t.Fatalf("no injection space at %d", i)
 		}
 		p := pool.Get()
-		p.Size = 8
 		r.Inject(0, vc, p, int64(i))
 		if p.Injected != int64(i) {
 			t.Error("Injected timestamp not set")

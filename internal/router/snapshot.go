@@ -167,12 +167,12 @@ func (r *Router) DecodeState(d *simcore.Dec, pkt func(id uint64) (*packet.Packet
 					d.Fail("router %d port %d vc %d: %v", r.ID, i, vc, err)
 					return d.Err()
 				}
-				if buf.occupied+p.Size > buf.Capacity {
+				if buf.occupied+r.PktSize > buf.Capacity {
 					d.Fail("router %d port %d vc %d overflows capacity %d", r.ID, i, vc, buf.Capacity)
 					return d.Err()
 				}
 				buf.q = append(buf.q, p)
-				buf.occupied += p.Size
+				buf.occupied += r.PktSize
 			}
 			buf.draining = d.Bool()
 			if d.Err() == nil && buf.draining && len(buf.q) == 0 {

@@ -33,11 +33,11 @@ func DefaultAdaptiveConfig() AdaptiveConfig {
 // according to local queue state: compare source-router queue occupancies
 // weighted by path lengths (UGAL-L, Kim et al.).
 func ugalDecision(d *topology.Dragonfly, rt *router.Router, p *packet.Packet, vg int, cfg AdaptiveConfig) bool {
-	minOut := d.MinimalPort(rt.ID, p.Dst)
+	minOut := d.MinimalPort(rt.ID, int(p.Dst))
 	valOut := d.PortToGroup(rt.ID, vg)
 	qMin := queuedPhits(rt, minOut)
 	qVal := queuedPhits(rt, valOut)
-	hMin := d.MinimalHops(p.Src, p.Dst)
+	hMin := d.MinimalHops(int(p.Src), int(p.Dst))
 	hVal := hMin + 2 // one extra global hop plus the intermediate local hop
 	return qMin*hMin > qVal*hVal+cfg.UgalT
 }
@@ -75,12 +75,12 @@ func (e *UGAL) AtInjection(rt *router.Router, p *packet.Packet, _ int64) {
 	if p.DstGroup == p.SrcGroup {
 		return // minimal within the group
 	}
-	vg := pickIntermediate(e.d, rt, p.SrcGroup, p.DstGroup)
+	vg := pickIntermediate(e.d, rt, int(p.SrcGroup), int(p.DstGroup))
 	if vg < 0 {
 		return
 	}
 	if ugalDecision(e.d, rt, p, vg, e.cfg) {
-		p.ValiantGroup = vg
+		p.ValiantGroup = int16(vg)
 	}
 }
 
@@ -118,23 +118,23 @@ func (e *PB) AtInjection(rt *router.Router, p *packet.Packet, now int64) {
 	if p.DstGroup == p.SrcGroup {
 		return // minimal within the group
 	}
-	vg := pickIntermediate(e.d, rt, p.SrcGroup, p.DstGroup)
+	vg := pickIntermediate(e.d, rt, int(p.SrcGroup), int(p.DstGroup))
 	if vg < 0 {
 		return
 	}
-	minLink := e.d.GlobalLinkOf(p.SrcGroup, p.DstGroup)
-	valLink := e.d.GlobalLinkOf(p.SrcGroup, vg)
+	minLink := e.d.GlobalLinkOf(int(p.SrcGroup), int(p.DstGroup))
+	valLink := e.d.GlobalLinkOf(int(p.SrcGroup), vg)
 	flagMin := rt.PBFlag(minLink, now)
 	flagVal := rt.PBFlag(valLink, now)
 	switch {
 	case flagMin && !flagVal:
-		p.ValiantGroup = vg
+		p.ValiantGroup = int16(vg)
 	case flagMin && flagVal:
 		// both candidate global channels congested: stay minimal rather
 		// than doubling the load on an equally congested path
 	default:
 		if ugalDecision(e.d, rt, p, vg, e.cfg) {
-			p.ValiantGroup = vg
+			p.ValiantGroup = int16(vg)
 		}
 	}
 }

@@ -32,12 +32,12 @@ func (e *PAR) AtInjection(rt *router.Router, p *packet.Packet, _ int64) {
 	if p.DstGroup == p.SrcGroup {
 		return
 	}
-	vg := pickIntermediate(e.d, rt, p.SrcGroup, p.DstGroup)
+	vg := pickIntermediate(e.d, rt, int(p.SrcGroup), int(p.DstGroup))
 	if vg < 0 {
 		return
 	}
 	if ugalDecision(e.d, rt, p, vg, e.cfg) {
-		p.ValiantGroup = vg
+		p.ValiantGroup = int16(vg)
 	}
 }
 
@@ -47,13 +47,13 @@ func (e *PAR) AtInjection(rt *router.Router, p *packet.Packet, _ int64) {
 // mid-group is what distinguishes PAR from UGAL/PB.
 func (e *PAR) Route(rt *router.Router, in router.InCtx, p *packet.Packet, now int64) (router.Request, bool) {
 	if in.Kind == topology.PortLocal && // re-evaluation point: after a local hop
-		rt.Group == p.SrcGroup &&
+		rt.Group == int(p.SrcGroup) &&
 		p.ValiantGroup < 0 &&
 		p.DstGroup != p.SrcGroup &&
 		p.GlobalHops == 0 {
-		vg := pickIntermediate(e.d, rt, p.SrcGroup, p.DstGroup)
+		vg := pickIntermediate(e.d, rt, int(p.SrcGroup), int(p.DstGroup))
 		if vg >= 0 && ugalDecision(e.d, rt, p, vg, e.cfg) {
-			p.ValiantGroup = vg // in-transit divert (PAR's defining move)
+			p.ValiantGroup = int16(vg) // in-transit divert (PAR's defining move)
 		}
 	}
 	out := nextOut(e.d, rt.ID, p)
@@ -61,7 +61,7 @@ func (e *PAR) Route(rt *router.Router, in router.InCtx, p *packet.Packet, now in
 		return router.Request{}, false
 	}
 	vc := e.vcFor(e.d.PortKindOf(out), p, rt.Out[out].NumVCs())
-	if !rt.VCFits(out, vc, p.Size) {
+	if !rt.VCFits(out, vc, rt.PktSize) {
 		return router.Request{}, false
 	}
 	return router.Request{Out: out, VC: vc}, true
@@ -76,9 +76,9 @@ func (e *PAR) vcFor(kind topology.PortKind, p *packet.Packet, numVCs int) int {
 	}
 	var vc int
 	if kind == topology.PortGlobal {
-		vc = p.GlobalHops
+		vc = int(p.GlobalHops)
 	} else {
-		vc = p.LocalHops
+		vc = int(p.LocalHops)
 	}
 	if vc >= numVCs {
 		vc = numVCs - 1

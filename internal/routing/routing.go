@@ -21,7 +21,7 @@ func vcFor(kind topology.PortKind, p *packet.Packet, numVCs int) int {
 	if kind == topology.PortNode {
 		return 0
 	}
-	vc := p.GlobalHops
+	vc := int(p.GlobalHops)
 	if vc >= numVCs {
 		vc = numVCs - 1
 	}
@@ -32,10 +32,10 @@ func vcFor(kind topology.PortKind, p *packet.Packet, numVCs int) int {
 // packet: toward the Valiant intermediate group while one is pending,
 // minimal afterwards.
 func nextOut(d *topology.Dragonfly, r int, p *packet.Packet) int {
-	if p.ValiantGroup >= 0 && d.GroupOf(r) != p.ValiantGroup {
-		return d.PortToGroup(r, p.ValiantGroup)
+	if vg := int(p.ValiantGroup); vg >= 0 && d.GroupOf(r) != vg {
+		return d.PortToGroup(r, vg)
 	}
-	return d.MinimalPort(r, p.Dst)
+	return d.MinimalPort(r, int(p.Dst))
 }
 
 // fixedOut resolves the committed output port of a baseline packet, using
@@ -58,7 +58,7 @@ func routeFixed(d *topology.Dragonfly, rt *router.Router, in router.InCtx, p *pa
 		return router.Request{}, false
 	}
 	vc := vcFor(d.PortKindOf(out), p, rt.Out[out].NumVCs())
-	if !rt.VCFits(out, vc, p.Size) {
+	if !rt.VCFits(out, vc, rt.PktSize) {
 		return router.Request{}, false
 	}
 	return router.Request{Out: out, VC: vc}, true
@@ -136,7 +136,7 @@ func (e *Valiant) Name() string { return "VAL" }
 
 // AtInjection implements router.Engine.
 func (e *Valiant) AtInjection(rt *router.Router, p *packet.Packet, _ int64) {
-	p.ValiantGroup = pickIntermediate(e.d, rt, p.SrcGroup, p.DstGroup)
+	p.ValiantGroup = int16(pickIntermediate(e.d, rt, int(p.SrcGroup), int(p.DstGroup)))
 }
 
 // Route implements router.Engine.

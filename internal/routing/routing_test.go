@@ -43,9 +43,8 @@ func buildRouter(t *testing.T, d *topology.Dragonfly, id int, fb *router.FlagBoa
 func newPkt(d *topology.Dragonfly, src, dst int) *packet.Packet {
 	p := &packet.Packet{}
 	p.Reset()
-	p.Size = 8
-	p.Src, p.Dst = src, dst
-	p.SrcGroup, p.DstGroup = d.GroupOfNode(src), d.GroupOfNode(dst)
+	p.Src, p.Dst = int32(src), int32(dst)
+	p.SrcGroup, p.DstGroup = int16(d.GroupOfNode(src)), int16(d.GroupOfNode(dst))
 	return p
 }
 
@@ -67,7 +66,7 @@ func TestVCForDiscipline(t *testing.T) {
 		{topology.PortNode, 2, 1, 0},
 	}
 	for _, c := range cases {
-		p.GlobalHops = c.ghops
+		p.GlobalHops = int16(c.ghops)
 		if got := vcFor(c.kind, p, c.numVCs); got != c.wantVC {
 			t.Errorf("vcFor(%v, ghops=%d) = %d, want %d", c.kind, c.ghops, got, c.wantVC)
 		}
@@ -84,14 +83,14 @@ func TestNextOutFollowsValiantThenMinimal(t *testing.T) {
 		t.Errorf("valiant next out %d, want %d", out, got)
 	}
 	p.ValiantGroup = -1
-	if out := nextOut(d, r0, p); out != d.MinimalPort(r0, p.Dst) {
+	if out := nextOut(d, r0, p); out != d.MinimalPort(r0, int(p.Dst)) {
 		t.Error("minimal next out mismatch")
 	}
 	// Inside the valiant group the packet heads minimally (EnterGroup will
 	// have cleared the field on arrival; nextOut must also not loop if the
 	// field is stale).
 	p.ValiantGroup = 0
-	if out := nextOut(d, r0, p); out != d.MinimalPort(r0, p.Dst) {
+	if out := nextOut(d, r0, p); out != d.MinimalPort(r0, int(p.Dst)) {
 		t.Error("stale valiant group not ignored inside the group")
 	}
 }
@@ -141,10 +140,10 @@ func TestValiantAssignsIntermediate(t *testing.T) {
 		if p.ValiantGroup == p.SrcGroup || p.ValiantGroup == p.DstGroup {
 			t.Fatalf("valiant group %d collides", p.ValiantGroup)
 		}
-		if p.ValiantGroup < 0 || p.ValiantGroup >= d.G {
+		if p.ValiantGroup < 0 || int(p.ValiantGroup) >= d.G {
 			t.Fatalf("valiant group out of range: %d", p.ValiantGroup)
 		}
-		seen[p.ValiantGroup] = true
+		seen[int(p.ValiantGroup)] = true
 	}
 	if len(seen) != d.G-2 {
 		t.Errorf("valiant groups used: %d of %d", len(seen), d.G-2)
@@ -162,7 +161,7 @@ func TestValiantIntraGroup(t *testing.T) {
 		if p.ValiantGroup == 0 {
 			t.Fatal("intra-group valiant picked the source group")
 		}
-		seen[p.ValiantGroup] = true
+		seen[int(p.ValiantGroup)] = true
 	}
 	if len(seen) != d.G-1 {
 		t.Errorf("intra-group valiant groups used: %d of %d", len(seen), d.G-1)
@@ -328,7 +327,7 @@ func TestPARNoDivertAfterGlobalHop(t *testing.T) {
 	e := NewPAR(d, DefaultAdaptiveConfig())
 	p := newPkt(d, d.Nodes-1, d.NodeAt(2, 0)) // foreign source, dst in group 0
 	p.GlobalHops = 1
-	min := d.MinimalPort(0, p.Dst)
+	min := d.MinimalPort(0, int(p.Dst))
 	for vc := 0; vc < rt.Out[min].NumVCs(); vc++ {
 		rt.Out[min].Take(vc, rt.Out[min].Credits(vc))
 	}
@@ -396,7 +395,7 @@ func TestUGALAndPBRouteAreFixed(t *testing.T) {
 	p := newPkt(d, 0, d.Nodes-1)
 	for _, e := range []router.Engine{NewUGAL(d, DefaultAdaptiveConfig()), NewPB(d, DefaultAdaptiveConfig())} {
 		req, ok := e.Route(rt, router.InCtx{MinHint: -1, Kind: topology.PortNode}, p, 0)
-		if !ok || req.Out != d.MinimalPort(0, p.Dst) {
+		if !ok || req.Out != d.MinimalPort(0, int(p.Dst)) {
 			t.Errorf("%s route %+v ok=%v", e.Name(), req, ok)
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"ofar/internal/packet"
 	"ofar/internal/simcore"
 	"ofar/internal/topology"
 )
@@ -92,7 +93,9 @@ type JobSet struct {
 // NewJobSet places the jobs onto the topology. Jobs are placed in order:
 // under MapLinear job i occupies the nodes right after job i-1's range;
 // under MapRandom the ranges index a permutation of all nodes derived from
-// Seed. The combined job sizes must fit the node count.
+// Seed. The combined job sizes must fit the node count, and the slots
+// (jobs plus the background slot) must fit the packet header's job field
+// (packet.MaxJobSlots): the network tags every packet with its slot.
 func NewJobSet(d *topology.Dragonfly, cfg JobSetConfig) (*JobSet, error) {
 	if len(cfg.Jobs) == 0 {
 		return nil, fmt.Errorf("traffic: job set needs at least one job")
@@ -128,6 +131,9 @@ func NewJobSet(d *topology.Dragonfly, cfg JobSetConfig) (*JobSet, error) {
 	if cfg.Background > 0 && total < d.Nodes {
 		bgSlot = slots
 		slots++
+	}
+	if slots > packet.MaxJobSlots {
+		return nil, fmt.Errorf("traffic: %d job slots exceed the packet header's limit of %d", slots, packet.MaxJobSlots)
 	}
 	s := &JobSet{
 		cfg:     cfg,

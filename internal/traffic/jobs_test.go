@@ -1,9 +1,12 @@
 package traffic
 
 import (
+	"strings"
 	"testing"
 
+	"ofar/internal/packet"
 	"ofar/internal/simcore"
+	"ofar/internal/topology"
 	"ofar/internal/trace"
 )
 
@@ -334,7 +337,7 @@ func TestTraceReplayReinjectsExactly(t *testing.T) {
 		{Cycle: 7, Src: 0, Dst: 2, Size: 8},
 		{Cycle: 12, Src: 3, Dst: 0, Size: 8},
 	}
-	r, err := NewTraceReplay(recs, d.Nodes)
+	r, err := NewTraceReplay(recs, d.Nodes, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -381,9 +384,47 @@ func TestTraceReplayValidation(t *testing.T) {
 		"dst out of range": {{Cycle: 1, Src: 0, Dst: 99, Size: 8}},
 		"self-addressed":   {{Cycle: 1, Src: 2, Dst: 2, Size: 8}},
 		"cycle regression": {{Cycle: 9, Src: 0, Dst: 1, Size: 8}, {Cycle: 3, Src: 1, Dst: 0, Size: 8}},
+		"size mismatch":    {{Cycle: 1, Src: 0, Dst: 1, Size: 8}, {Cycle: 2, Src: 1, Dst: 0, Size: 16}},
 	} {
-		if _, err := NewTraceReplay(recs, 72); err == nil {
+		if _, err := NewTraceReplay(recs, 72, 8); err == nil {
 			t.Errorf("%s: accepted, want error", name)
+		}
+	}
+}
+
+// TestJobSetSlotLimit: the network tags every packet with its job slot in
+// an int16 header field, so a job set with more slots than that holds —
+// jobs plus the background slot — is refused at construction.
+func TestJobSetSlotLimit(t *testing.T) {
+	d, err := topology.New(40, 20, 2, 41) // 32,800 nodes
+	if err != nil {
+		t.Fatal(err)
+	}
+	mk := func(jobs int, bg float64) error {
+		specs := make([]JobSpec, jobs)
+		for i := range specs {
+			specs[i] = JobSpec{Kind: JobAll2All, Nodes: 1, Load: 0.1}
+		}
+		_, err := NewJobSet(d, JobSetConfig{Jobs: specs, Background: bg, PacketSize: 8})
+		return err
+	}
+	for _, tc := range []struct {
+		name string
+		jobs int
+		bg   float64
+		ok   bool
+	}{
+		{"32767-jobs", packet.MaxJobSlots, 0, true},
+		{"32766-jobs+bg", packet.MaxJobSlots - 1, 0.1, true},
+		{"32767-jobs+bg", packet.MaxJobSlots, 0.1, false},
+		{"32768-jobs", packet.MaxJobSlots + 1, 0, false},
+	} {
+		err := mk(tc.jobs, tc.bg)
+		switch {
+		case tc.ok && err != nil:
+			t.Errorf("%s: refused: %v", tc.name, err)
+		case !tc.ok && (err == nil || !strings.Contains(err.Error(), "job slots")):
+			t.Errorf("%s: err = %v, want a job-slot limit error", tc.name, err)
 		}
 	}
 }

@@ -29,10 +29,12 @@ type TraceReplay struct {
 	total     int
 }
 
-// NewTraceReplay validates the trace against a topology of `nodes` nodes and
-// indexes it by source. Records must be sorted by cycle (the on-disk format
-// guarantees it; in-memory callers must too).
-func NewTraceReplay(recs []trace.Record, nodes int) (*TraceReplay, error) {
+// NewTraceReplay validates the trace against a topology of `nodes` nodes
+// whose packets are packetSize phits, and indexes it by source. Records must
+// be sorted by cycle (the on-disk format guarantees it; in-memory callers
+// must too). A record of another size is refused: the network has one
+// packet size, so replaying it would silently change the traffic.
+func NewTraceReplay(recs []trace.Record, nodes, packetSize int) (*TraceReplay, error) {
 	if nodes < 2 {
 		return nil, fmt.Errorf("traffic: trace replay needs at least 2 nodes, have %d", nodes)
 	}
@@ -52,6 +54,9 @@ func NewTraceReplay(recs []trace.Record, nodes int) (*TraceReplay, error) {
 		}
 		if rec.Src == rec.Dst {
 			return nil, fmt.Errorf("trace: record %d sends node %d to itself", i, rec.Src)
+		}
+		if int(rec.Size) != packetSize {
+			return nil, fmt.Errorf("trace: record %d is %d phits, the network's packets are %d", i, rec.Size, packetSize)
 		}
 		r.perNode[rec.Src] = append(r.perNode[rec.Src], rec)
 	}

@@ -172,7 +172,8 @@ type GroupLocalGenerator interface {
 type JobAware interface {
 	Generator
 	// NumJobs returns the number of job slots, including the background
-	// slot when background traffic is configured.
+	// slot when background traffic is configured. It is at most
+	// packet.MaxJobSlots: packets carry their slot in an int16.
 	NumJobs() int
 	// JobOf returns the job slot of a node, or -1 when the node belongs to
 	// no job and generates nothing.

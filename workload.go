@@ -352,14 +352,15 @@ func RunSteadyTraced(cfg Config, ps PatternSpec, load float64, warmup, measure i
 // ReplayTrace re-injects a recorded (or external) trace through a fresh
 // network and measures it with the standard steady-state window. A trace
 // recorded by RunSteadyTraced/RunJobsTraced on the same Config reproduces
-// the original run's grant digest bit-identically.
+// the original run's grant digest bit-identically. Every record must have
+// cfg's packet size.
 func ReplayTrace(cfg Config, recs []TraceRecord, warmup, measure int) (SteadyResult, uint64, error) {
 	n, err := network.New(cfg)
 	if err != nil {
 		return SteadyResult{}, 0, err
 	}
 	defer n.Close()
-	gen, err := traffic.NewTraceReplay(recs, n.Topo.Nodes)
+	gen, err := traffic.NewTraceReplay(recs, n.Topo.Nodes, cfg.PacketSize)
 	if err != nil {
 		return SteadyResult{}, 0, err
 	}

@@ -184,6 +184,29 @@ func TestTraceRecordReplayDigest(t *testing.T) {
 	})
 }
 
+// TestReplayTraceRejectsPacketSize: a trace recorded at one packet size does
+// not replay on a network of another — the network has a single packet size,
+// so a silent replay would change the traffic it claims to reproduce.
+func TestReplayTraceRejectsPacketSize(t *testing.T) {
+	rec := DefaultConfig(2)
+	rec.PacketSize = 4
+	_, recs, _, err := RunSteadyTraced(rec, Uniform(), 0.3, 100, 200)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) == 0 || recs[0].Size != 4 {
+		t.Fatalf("recorded %d records, want size-4 records", len(recs))
+	}
+	if _, _, err := ReplayTrace(rec, recs, 100, 200); err != nil {
+		t.Fatalf("replay at the recorded size: %v", err)
+	}
+	cfg := DefaultConfig(2) // 8-phit packets
+	_, _, err = ReplayTrace(cfg, recs, 100, 200)
+	if err == nil || !strings.Contains(err.Error(), "phits") {
+		t.Fatalf("replay of 4-phit records on an 8-phit network: err = %v, want a size error", err)
+	}
+}
+
 func TestTraceSaveLoadRoundTrip(t *testing.T) {
 	cfg := DefaultConfig(2)
 	_, recs, _, err := RunSteadyTraced(cfg, Uniform(), 0.3, 100, 200)

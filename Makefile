@@ -144,6 +144,7 @@ FUZZ_TARGETS = \
 	.:FuzzFaultSchedule \
 	.:FuzzRouteCache \
 	./internal/network:FuzzSnapshotRoundTrip \
+	./internal/service:FuzzResolveRequest \
 	./internal/topology:FuzzTopologyInvariants \
 	./internal/trace:FuzzTraceRoundTrip
 

@@ -21,10 +21,7 @@ const (
 
 func benchCfg(rt Routing, h int) Config {
 	cfg := DefaultConfig(h)
-	cfg.Routing = rt
-	if rt == MIN || rt == VAL || rt == PB || rt == UGAL {
-		cfg.Ring = RingNone
-	}
+	cfg.SetRouting(rt)
 	return cfg
 }
 

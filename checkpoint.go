@@ -163,7 +163,7 @@ func warmFor(cfg Config, ps PatternSpec, load float64, warmup int, opt SweepOpti
 		return nil, false, err
 	}
 	if opt.CheckpointDir != "" {
-		if err := writeWarmSnapshot(filepath.Join(opt.CheckpointDir, name), w); err != nil {
+		if err := w.SaveSnapshot(filepath.Join(opt.CheckpointDir, name)); err != nil {
 			w.Close()
 			return nil, false, err
 		}
@@ -186,10 +186,10 @@ func warmSnapshotName(cfg Config, ps PatternSpec, load float64, warmup int) (str
 	return fmt.Sprintf("warm-%016x.ofarsnap", h.Sum64()), nil
 }
 
-// writeWarmSnapshot persists a warm state atomically (temp file + rename), so
-// concurrent sweep points — or concurrent sweep processes sharing a cache
-// directory — never observe a half-written snapshot.
-func writeWarmSnapshot(path string, w *WarmState) error {
+// SaveSnapshot writes the warm state's snapshot to path atomically (temp
+// file + rename), so concurrent sweep points — or concurrent processes
+// sharing a cache directory — never observe a half-written snapshot.
+func (w *WarmState) SaveSnapshot(path string) error {
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		return err
 	}

@@ -22,31 +22,26 @@ import (
 	"strings"
 
 	"ofar"
+	"ofar/internal/cli"
 	"ofar/internal/plot"
 )
 
 type scale struct {
-	h       int
-	warmup  int
-	measure int
-	burst   int // packets per node in fig7
-	maxCyc  int
-	seed    uint64
-	svgDir  string // when non-empty, write an SVG per figure
-	workers int    // intra-network pool workers (0/1 = inline)
-	cutover int    // inline/pool cutover (0 = auto-calibrate)
-	faults  []ofar.Fault
-	ckptDir string // when non-empty, write per-point warm snapshots here
-	restDir string // when non-empty, restore warm snapshots from here
+	*cli.Flags // the shared flags
+
+	burst  int         // packets per node in fig7
+	maxCyc int         // cycle cap of a burst run
+	svgDir string      // when non-empty, write an SVG per figure
+	base   ofar.Config // the shared flags, resolved; cfgFor sets each run's routing
 }
 
 // sweep runs one load sweep through the warm-state driver, with the warm
 // cache when -checkpoint/-restore are set. Rows are bit-identical to the
 // classic per-point runs either way.
 func (sc scale) sweep(cfg ofar.Config, ps ofar.PatternSpec, loads []float64) ([]ofar.SteadyResult, error) {
-	rs, st, err := ofar.RunLoadSweepOpt(cfg, ps, loads, sc.warmup, sc.measure,
-		ofar.SweepOptions{CheckpointDir: sc.ckptDir, RestoreDir: sc.restDir})
-	if err == nil && (sc.ckptDir != "" || sc.restDir != "") {
+	rs, st, err := ofar.RunLoadSweepOpt(cfg, ps, loads, sc.Warmup, sc.Measure,
+		ofar.SweepOptions{CheckpointDir: sc.Checkpoint, RestoreDir: sc.Restore})
+	if err == nil && (sc.Checkpoint != "" || sc.Restore != "") {
 		fmt.Fprintf(os.Stderr, "experiments: %s %s: warm cache: %d restored (%d warmup cycles skipped), %d warmed\n",
 			cfg.Routing, ps.Name(), st.Restored, st.WarmupCyclesSkipped, st.Warmed)
 	}
@@ -54,28 +49,17 @@ func (sc scale) sweep(cfg ofar.Config, ps ofar.PatternSpec, loads []float64) ([]
 }
 
 func main() {
+	shared := cli.Register(flag.CommandLine, false)
 	var (
 		fig    = flag.String("fig", "all", "figure to regenerate: fig2b,fig3,fig4,fig5,fig6,fig7,fig8,fig9,bounds,all; extensions: stencil,fig9m,degradation,interference")
-		h      = flag.Int("h", 3, "dragonfly parameter h (6 = paper scale)")
-		warm   = flag.Int("warmup", 3000, "warm-up cycles per point")
-		meas   = flag.Int("measure", 5000, "measurement cycles per point")
 		burst  = flag.Int("burst", 100, "burst size per node for fig7 (paper: 2000)")
-		seed   = flag.Uint64("seed", 1, "random seed")
 		points = flag.Int("points", 8, "load points per sweep")
 		svgDir = flag.String("svg", "", "directory to write one SVG chart per figure (optional)")
-		work   = flag.Int("workers", 0, "pool workers per network, at most one per group (0/1 = inline; bit-identical results, useful at h=6)")
-		cut    = flag.Int("cutover", 0, "work size (active routers, due events) below which a pooled phase runs inline (0 = auto)")
-		faults = flag.String("faults", "", "fault schedule applied to every run: a JSON file of Fault objects, or inline like link@5000:12:7")
-		ckpt   = flag.String("checkpoint", "", "directory to write per-point warm snapshots into (reuse with -restore)")
-		rest   = flag.String("restore", "", "directory of warm snapshots: sweep points found there skip warmup, bit-identically")
 	)
 	flag.Parse()
-	sc := scale{h: *h, warmup: *warm, measure: *meas, burst: *burst, maxCyc: 50_000_000, seed: *seed, svgDir: *svgDir, workers: *work, cutover: *cut, ckptDir: *ckpt, restDir: *rest}
-	if *faults != "" {
-		fs, err := ofar.LoadFaults(*faults)
-		check(err)
-		sc.faults = fs
-	}
+	x, err := shared.Resolve(nil)
+	check(err)
+	sc := scale{Flags: shared, burst: *burst, maxCyc: 50_000_000, svgDir: *svgDir, base: x.Config}
 	if sc.svgDir != "" {
 		if err := os.MkdirAll(sc.svgDir, 0o755); err != nil {
 			fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
@@ -122,16 +106,12 @@ func stencil(sc scale, _ int) {
 	fmt.Printf("task grid: %dx%dx%d\n", dims[0], dims[1], dims[2])
 	fmt.Printf("%-10s %-10s %12s %12s\n", "routing", "mapping", "latency@0.3", "saturation")
 	for _, rt := range []ofar.Routing{ofar.MIN, ofar.OFAR} {
-		for _, random := range []bool{false, true} {
-			ps := ofar.Stencil3D(dims[0], dims[1], dims[2], random)
-			lat, err := ofar.RunSteady(cfgFor(sc, rt), ps, 0.3, sc.warmup, sc.measure)
+		for _, mapping := range []string{"linear", "random"} {
+			ps := ofar.Stencil3D(dims[0], dims[1], dims[2], mapping == "random")
+			lat, err := ofar.RunSteady(cfgFor(sc, rt), ps, 0.3, sc.Warmup, sc.Measure)
 			check(err)
-			sat, err := ofar.RunSteady(cfgFor(sc, rt), ps, 1.0, sc.warmup, sc.measure)
+			sat, err := ofar.RunSteady(cfgFor(sc, rt), ps, 1.0, sc.Warmup, sc.Measure)
 			check(err)
-			mapping := "linear"
-			if random {
-				mapping = "random"
-			}
 			fmt.Printf("%-10s %-10s %12.1f %12.4f\n", rt, mapping, lat.AvgLatency, sat.Throughput)
 		}
 	}
@@ -151,15 +131,11 @@ func interference(sc scale, _ int) {
 	fmt.Printf("job set: %s\n", w.Name())
 	fmt.Printf("%-10s %-10s %-44s %s\n", "routing", "mapping", "per-job shared p99 (cycles)", "p99 slowdown")
 	for _, rt := range []ofar.Routing{ofar.MIN, ofar.OFAR} {
-		for _, random := range []bool{false, true} {
+		for _, mapping := range []string{"linear", "random"} {
 			wm := w
-			wm.RandomMap = random
-			res, err := ofar.RunInterference(cfgFor(sc, rt), wm, 1.0, sc.warmup, sc.measure)
+			wm.RandomMap = mapping == "random"
+			res, err := ofar.RunInterference(cfgFor(sc, rt), wm, 1.0, sc.Warmup, sc.Measure)
 			check(err)
-			mapping := "linear"
-			if random {
-				mapping = "random"
-			}
 			shared, slow := "", ""
 			for _, p := range res.Points {
 				shared += fmt.Sprintf(" %s=%.0f", p.Job, p.SharedP99)
@@ -175,7 +151,7 @@ func interference(sc scale, _ int) {
 // quarter, a parameter-server fan-in on an eighth, light uniform background
 // on the rest.
 func defaultJobMix(sc scale) ofar.Workload {
-	nodes := sc.h * 2 * sc.h * (2*sc.h*sc.h + 1)
+	nodes := sc.H * 2 * sc.H * (2*sc.H*sc.H + 1)
 	q := nodes / 4
 	dims := cubicDims(q)
 	return ofar.Workload{
@@ -213,7 +189,7 @@ func cubicDims(n int) [3]int {
 
 // bestStencilDims picks a near-cubic grid filling most of the network.
 func bestStencilDims(sc scale) [3]int {
-	nodes := sc.h * 2 * sc.h * (2*sc.h*sc.h + 1)
+	nodes := sc.H * 2 * sc.H * (2*sc.H*sc.H + 1)
 	best := [3]int{1, 1, 1}
 	bestV := 0
 	for x := 2; x*x*x <= nodes*2; x++ {
@@ -234,7 +210,7 @@ func bestStencilDims(sc scale) [3]int {
 // throttle enabled — the congestion-management future work of §VII.
 func fig9m(sc scale, points int) {
 	header("Extension — Fig. 9 scenario with injection-throttling congestion management")
-	ps := ofar.Adv(sc.h)
+	ps := ofar.Adv(sc.H)
 	loads := loadSeries(0.6, points)
 	mk := func(managed bool) ofar.Config {
 		cfg := cfgFor(sc, ofar.OFAR)
@@ -263,15 +239,8 @@ func fig9m(sc scale, points int) {
 }
 
 func cfgFor(sc scale, rt ofar.Routing) ofar.Config {
-	cfg := ofar.DefaultConfig(sc.h)
-	cfg.Seed = sc.seed
-	cfg.Workers = sc.workers
-	cfg.ParallelCutover = sc.cutover
-	cfg.Routing = rt
-	cfg.Faults = sc.faults
-	if rt == ofar.MIN || rt == ofar.VAL || rt == ofar.PB || rt == ofar.UGAL {
-		cfg.Ring = ofar.RingNone
-	}
+	cfg := sc.base
+	cfg.SetRouting(rt)
 	return cfg
 }
 
@@ -282,8 +251,8 @@ func degradation(sc scale, _ int) {
 	header("Extension — graceful degradation under global-link faults (OFAR)")
 	cfg := cfgFor(sc, ofar.OFAR)
 	cfg.Faults = nil // RunDegradation installs its own schedule per point
-	faultAt := int64(sc.warmup / 2)
-	pts, err := ofar.RunDegradation(cfg, ofar.Uniform(), 0.3, faultAt, 4, sc.warmup, sc.measure)
+	faultAt := int64(sc.Warmup / 2)
+	pts, err := ofar.RunDegradation(cfg, ofar.Uniform(), 0.3, faultAt, 4, sc.Warmup, sc.Measure)
 	check(err)
 	fmt.Printf("%-12s %12s %12s %12s %10s %10s %10s\n",
 		"failed-links", "throughput", "avg-lat", "p99-lat", "dropped", "reroutes", "flows")
@@ -342,16 +311,16 @@ func bounds(sc scale, _ int) {
 	sim, err := ofar.NewSimulator(cfg)
 	check(err)
 	d := sim.Topology()
-	fmt.Printf("network: h=%d, %d nodes, %d routers, %d groups\n", sc.h, d.Nodes, d.Routers, d.G)
+	fmt.Printf("network: h=%d, %d nodes, %d routers, %d groups\n", sc.H, d.Nodes, d.Routers, d.G)
 	fmt.Printf("MIN worst case (group->group): analytic %.4f\n", d.MinGlobalWorstCaseThroughput())
 	fmt.Printf("MIN worst case (router->router local): analytic %.4f\n", d.MinLocalWorstCaseThroughput())
 	fmt.Printf("VAL global-link bound: %.3f\n", d.ValiantThroughputBound())
 	fmt.Printf("VAL ADV+h local l2 cap: analytic %.4f (1/h = %.4f)\n",
-		d.AdvValiantLocalCap(sc.h), d.ValiantLocalSaturationBound())
+		d.AdvValiantLocalCap(sc.H), d.ValiantLocalSaturationBound())
 
-	min, err := ofar.RunSteady(cfgFor(sc, ofar.MIN), ofar.Adv(sc.h), 1.0, sc.warmup, sc.measure)
+	min, err := ofar.RunSteady(cfgFor(sc, ofar.MIN), ofar.Adv(sc.H), 1.0, sc.Warmup, sc.Measure)
 	check(err)
-	val, err := ofar.RunSteady(cfgFor(sc, ofar.VAL), ofar.Adv(sc.h), 1.0, sc.warmup, sc.measure)
+	val, err := ofar.RunSteady(cfgFor(sc, ofar.VAL), ofar.Adv(sc.H), 1.0, sc.Warmup, sc.Measure)
 	check(err)
 	fmt.Printf("measured: MIN ADV+h saturation %.4f, VAL ADV+h saturation %.4f\n",
 		min.Throughput, val.Throughput)
@@ -367,7 +336,7 @@ func fig2b(sc scale, _ int) {
 	fmt.Printf("%-8s %-12s %-12s\n", "offset", "throughput", "analytic-cap")
 	var meas, caps []plot.Point
 	for n := 1; n < g; n++ {
-		res, err := ofar.RunSteady(cfg, ofar.Adv(n), 1.0, sc.warmup, sc.measure)
+		res, err := ofar.RunSteady(cfg, ofar.Adv(n), 1.0, sc.Warmup, sc.Measure)
 		check(err)
 		cap := sim.Topology().AdvValiantLocalCap(n)
 		if cap > 0.5 {
@@ -432,7 +401,7 @@ func fig4(sc scale, points int) {
 }
 
 func fig5(sc scale, points int) {
-	sweepFigure(sc, "fig5", fmt.Sprintf("Fig. 5 — adversarial ADV+%d (ADV+h)", sc.h), ofar.Adv(sc.h), 0.6, points,
+	sweepFigure(sc, "fig5", fmt.Sprintf("Fig. 5 — adversarial ADV+%d (ADV+h)", sc.H), ofar.Adv(sc.H), 0.6, points,
 		[]ofar.Routing{ofar.VAL, ofar.PB, ofar.OFAR, ofar.OFARL})
 }
 
@@ -445,7 +414,7 @@ func fig6(sc scale, _ int) {
 	}{
 		{ofar.Uniform(), ofar.Adv(2), 0.14},
 		{ofar.Adv(2), ofar.Uniform(), 0.14},
-		{ofar.Adv(2), ofar.Adv(sc.h), 0.12},
+		{ofar.Adv(2), ofar.Adv(sc.H), 0.12},
 	}
 	for ci, c := range cases {
 		fmt.Printf("\n-- %s -> %s at load %.2f --\n", c.from.Name(), c.to.Name(), c.load)
@@ -459,7 +428,7 @@ func fig6(sc scale, _ int) {
 		for _, rt := range rts {
 			fmt.Printf("%12s", rt)
 			res, err := ofar.RunTransient(cfgFor(sc, rt), c.from, c.to, c.load,
-				sc.warmup, 3000, 4000, 200)
+				sc.Warmup, 3000, 4000, 200)
 			check(err)
 			m := map[int64]float64{}
 			var pts []plot.Point
@@ -489,8 +458,8 @@ func fig6(sc scale, _ int) {
 // fig7: burst consumption time normalized to PB.
 func fig7(sc scale, _ int) {
 	header(fmt.Sprintf("Fig. 7 — burst consumption (%d packets/node), normalized to PB", sc.burst))
-	patterns := append([]ofar.PatternSpec{ofar.Uniform(), ofar.Adv(2), ofar.Adv(sc.h)},
-		ofar.PaperMixes(sc.h)...)
+	patterns := append([]ofar.PatternSpec{ofar.Uniform(), ofar.Adv(2), ofar.Adv(sc.H)},
+		ofar.PaperMixes(sc.H)...)
 	fmt.Printf("%-8s %12s %12s %12s %10s %10s\n", "pattern", "PB-cycles", "OFAR-cycles", "OFARL-cycles", "OFAR/PB", "OFARL/PB")
 	var sumO, sumL float64
 	var ptsO, ptsL []plot.Point
@@ -557,7 +526,7 @@ func fig8(sc scale, points int) {
 // embedded ring, no congestion management).
 func fig9(sc scale, points int) {
 	header("Fig. 9 — reduced VCs (2 local / 1 global, embedded ring)")
-	for _, ps := range []ofar.PatternSpec{ofar.Uniform(), ofar.Adv(2), ofar.Adv(sc.h)} {
+	for _, ps := range []ofar.PatternSpec{ofar.Uniform(), ofar.Adv(2), ofar.Adv(sc.H)} {
 		fmt.Printf("\n-- pattern %s --\n", ps.Name())
 		fmt.Printf("%-8s %14s %14s\n", "load", "full-VC-thr", "reduced-VC-thr")
 		maxLoad := 1.0

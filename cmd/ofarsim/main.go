@@ -9,51 +9,83 @@
 package main
 
 import (
+	"cmp"
 	"flag"
 	"fmt"
 	"os"
 	"runtime"
 	"runtime/pprof"
-	"strings"
 
 	"ofar"
+	"ofar/internal/cli"
 )
 
+// options are ofarsim's flags: the shared ones and its own.
+type options struct {
+	*cli.Flags
+	groups, rings, escapeTO                       *int
+	load, nonMin, static                          *float64
+	traceOut, traceIn, confPath, cpuProf, memProf *string
+	quiet, dumpConf                               *bool
+	ring                                          ofar.RingMode
+}
+
+func newOptions(fs *flag.FlagSet) *options {
+	o := &options{
+		Flags:    cli.Register(fs, true),
+		groups:   fs.Int("groups", 0, "group count (0 = maximum size a*h+1)"),
+		load:     fs.Float64("load", 0.3, "offered load in phits/(node*cycle); with -jobs, a scale factor on every job when given"),
+		rings:    fs.Int("rings", 1, "number of escape rings"),
+		nonMin:   fs.Float64("nonmin-factor", 0.9, "OFAR variable threshold factor"),
+		static:   fs.Float64("static-th", -1, "OFAR static non-minimal threshold (<0 = variable policy)"),
+		escapeTO: fs.Int("escape-timeout", 32, "blocked cycles before requesting the escape ring"),
+		traceOut: fs.String("trace-out", "", "record every generated packet to this trace file"),
+		traceIn:  fs.String("trace-in", "", "replay a trace file instead of generating traffic (overrides -pattern/-jobs/-load)"),
+		quiet:    fs.Bool("q", false, "print a single CSV row instead of the report"),
+		confPath: fs.String("config", "", "load the full network config from a JSON file (replaces -h and the topology/router flags; explicitly given shared flags still override it)"),
+		dumpConf: fs.Bool("dump-config", false, "print the effective config as JSON and exit"),
+		cpuProf:  fs.String("cpuprofile", "", "write a pprof CPU profile of the run to this file"),
+		memProf:  fs.String("memprofile", "", "write a pprof heap profile (post-run) to this file"),
+		ring:     ofar.RingPhysical,
+	}
+	fs.Var(&o.ring, "ring", "escape ring: none, physical, embedded")
+	return o
+}
+
+// resolve builds the run's configuration and traffic: the -config file, or
+// DefaultConfig(-h) with ofarsim's topology and router flags, under the
+// shared flags' overrides.
+func (o *options) resolve() (ofar.Resolved, error) {
+	if *o.confPath != "" {
+		base, err := ofar.LoadConfig(*o.confPath)
+		if err != nil {
+			return ofar.Resolved{}, err
+		}
+		return o.Resolve(&base)
+	}
+	base := ofar.DefaultConfig(o.H)
+	base.Groups = *o.groups
+	base.Ring = o.ring
+	base.NumRings = *o.rings
+	base.OFAR.NonMinFactor = *o.nonMin
+	base.OFAR.StaticNonMin = *o.static
+	base.OFAR.EscapeTimeout = *o.escapeTO
+	return o.Resolve(&base)
+}
+
+// networkLine is the report's first line: the effective network.
+func networkLine(cfg ofar.Config) string {
+	groups := cmp.Or(cfg.Groups, cfg.A*cfg.H+1)
+	return fmt.Sprintf("network       : h=%d (p=%d a=%d groups=%d, %d nodes), %s escape ring x%d",
+		cfg.H, cfg.P, cfg.A, groups, cfg.P*cfg.A*groups, cfg.Ring, cfg.NumRings)
+}
+
 func main() {
-	var (
-		h        = flag.Int("h", 3, "dragonfly parameter h (balanced: p=h, a=2h, max groups)")
-		groups   = flag.Int("groups", 0, "group count (0 = maximum size a*h+1)")
-		routing  = flag.String("routing", "OFAR", "routing mechanism: MIN, VAL, PB, UGAL-L, OFAR, OFAR-L")
-		pattern  = flag.String("pattern", "UN", "traffic pattern: UN, ADV+<n>, MIX1, MIX2, MIX3")
-		load     = flag.Float64("load", 0.3, "offered load in phits/(node*cycle)")
-		warmup   = flag.Int("warmup", 3000, "warm-up cycles")
-		measure  = flag.Int("measure", 5000, "measurement cycles")
-		ring     = flag.String("ring", "physical", "escape ring: none, physical, embedded")
-		rings    = flag.Int("rings", 1, "number of escape rings")
-		seed     = flag.Uint64("seed", 1, "random seed")
-		nonMin   = flag.Float64("nonmin-factor", 0.9, "OFAR variable threshold factor")
-		static   = flag.Float64("static-th", -1, "OFAR static non-minimal threshold (<0 = variable policy)")
-		escapeTO = flag.Int("escape-timeout", 32, "blocked cycles before requesting the escape ring")
-		faults   = flag.String("faults", "", "fault schedule: a JSON file of Fault objects, or inline like link@5000:12:7,router@20000:3")
-		workers  = flag.Int("workers", 0, "intra-cycle workers on a persistent pool, at most one per group (0/1 = inline; results are bit-identical)")
-		ckpt     = flag.String("checkpoint", "", "write the post-warmup network snapshot to this file (resume later with -restore)")
-		restore  = flag.String("restore", "", "resume from a warm snapshot file instead of simulating warmup (same config and physics required; results are bit-identical)")
-		cutover  = flag.Int("cutover", 0, "work size (active routers, due events) below which a pooled phase runs inline (0 = auto-calibrate from -workers)")
-		jobs     = flag.String("jobs", "", "job-level workload instead of -pattern: kind:size@load[,...] with kinds stencil (size XxYxZ), a2a, ring, ps; -load scales every job")
-		jobMap   = flag.String("jobmap", "linear", "job placement: linear (consecutive nodes) or random (seeded permutation)")
-		bg       = flag.Float64("bg", 0, "uniform background load on nodes no job occupies")
-		traceOut = flag.String("trace-out", "", "record every generated packet to this trace file")
-		traceIn  = flag.String("trace-in", "", "replay a trace file instead of generating traffic (overrides -pattern/-jobs/-load)")
-		quiet    = flag.Bool("q", false, "print a single CSV row instead of the report")
-		confPath = flag.String("config", "", "load the full network config from a JSON file (overrides topology/router flags)")
-		dumpConf = flag.Bool("dump-config", false, "print the effective config as JSON and exit")
-		cpuProf  = flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
-		memProf  = flag.String("memprofile", "", "write a pprof heap profile (post-run) to this file")
-	)
+	o := newOptions(flag.CommandLine)
 	flag.Parse()
 
-	if *cpuProf != "" {
-		f, err := os.Create(*cpuProf)
+	if *o.cpuProf != "" {
+		f, err := os.Create(*o.cpuProf)
 		if err != nil {
 			fatal("creating CPU profile: %v", err)
 		}
@@ -63,9 +95,9 @@ func main() {
 		}
 		defer pprof.StopCPUProfile()
 	}
-	if *memProf != "" {
+	if *o.memProf != "" {
 		defer func() {
-			f, err := os.Create(*memProf)
+			f, err := os.Create(*o.memProf)
 			if err != nil {
 				fatal("creating heap profile: %v", err)
 			}
@@ -77,61 +109,12 @@ func main() {
 		}()
 	}
 
-	cfg := ofar.DefaultConfig(*h)
-	cfg.Groups = *groups
-	cfg.Seed = *seed
-	cfg.Routing = ofar.Routing(strings.ToUpper(*routing))
-	if cfg.Routing == ofar.PAR {
-		cfg.LocalVCs, cfg.InjVCs = 4, 4
+	x, err := o.resolve()
+	if err != nil {
+		fatal("%v", err)
 	}
-	cfg.OFAR.NonMinFactor = *nonMin
-	cfg.OFAR.StaticNonMin = *static
-	cfg.OFAR.EscapeTimeout = *escapeTO
-	switch strings.ToLower(*ring) {
-	case "none":
-		cfg.Ring = ofar.RingNone
-	case "physical":
-		cfg.Ring = ofar.RingPhysical
-	case "embedded":
-		cfg.Ring = ofar.RingEmbedded
-	default:
-		fatal("unknown ring mode %q", *ring)
-	}
-	cfg.NumRings = *rings
-	if cfg.Routing == ofar.MIN || cfg.Routing == ofar.VAL ||
-		cfg.Routing == ofar.PB || cfg.Routing == ofar.UGAL ||
-		cfg.Routing == ofar.PAR {
-		cfg.Ring = ofar.RingNone // VC-ordered mechanisms need no escape ring
-	}
-
-	cfg.Workers = *workers
-	cfg.ParallelCutover = *cutover
-
-	if *confPath != "" {
-		loaded, err := ofar.LoadConfig(*confPath)
-		if err != nil {
-			fatal("%v", err)
-		}
-		cfg = loaded
-		// Explicit -workers/-cutover flags override the file: both change
-		// wall-clock time only, never results.
-		flag.Visit(func(f *flag.Flag) {
-			switch f.Name {
-			case "workers":
-				cfg.Workers = *workers
-			case "cutover":
-				cfg.ParallelCutover = *cutover
-			}
-		})
-	}
-	if *faults != "" {
-		fs, err := ofar.LoadFaults(*faults)
-		if err != nil {
-			fatal("%v", err)
-		}
-		cfg.Faults = fs
-	}
-	if *dumpConf {
+	cfg, ps := x.Config, x.Pattern
+	if *o.dumpConf {
 		data, err := ofar.ConfigToJSON(cfg)
 		if err != nil {
 			fatal("%v", err)
@@ -140,19 +123,14 @@ func main() {
 		return
 	}
 
-	ps, err := ofar.ParsePattern(*pattern, cfg.H)
-	if err != nil {
-		fatal("%v", err)
-	}
-
 	// Trace replay: re-inject a recorded stream through a fresh network. A
 	// trace recorded by this build reproduces its run's grant digest
 	// bit-identically, which is what the printed digest line is for.
-	if *traceIn != "" {
-		if *jobs != "" || *ckpt != "" || *restore != "" {
+	if *o.traceIn != "" {
+		if x.Jobs != nil || o.Checkpoint != "" || o.Restore != "" {
 			fatal("-trace-in composes with none of -jobs, -checkpoint, -restore")
 		}
-		recs, engine, err := ofar.LoadTrace(*traceIn)
+		recs, engine, err := ofar.LoadTrace(*o.traceIn)
 		if err != nil {
 			fatal("%v", err)
 		}
@@ -160,16 +138,14 @@ func main() {
 			fmt.Fprintf(os.Stderr, "ofarsim: warning: trace written by engine %016x, this build is %016x — replay will not be bit-identical\n",
 				engine, ofar.EngineDigest())
 		}
-		res, digest, err := ofar.ReplayTrace(cfg, recs, *warmup, *measure)
+		res, digest, err := ofar.ReplayTrace(cfg, recs, o.Warmup, o.Measure)
 		if err != nil {
 			fatal("replay failed: %v", err)
 		}
-		if *quiet {
-			fmt.Printf("%s,%s,%.3f,%.2f,%.4f,%d,%d,%d,%d\n",
-				res.Routing, res.Pattern, res.Load, res.AvgLatency, res.Throughput,
-				res.GlobalMisroutes, res.LocalMisroutes, res.RingEnters, res.Delivered)
+		if *o.quiet {
+			printRow(res)
 		} else {
-			fmt.Printf("replayed      : %d records from %s\n", len(recs), *traceIn)
+			fmt.Printf("replayed      : %d records from %s\n", len(recs), *o.traceIn)
 			fmt.Printf("avg latency   : %.1f cycles\n", res.AvgLatency)
 			fmt.Printf("throughput    : %.4f phits/(node*cycle)\n", res.Throughput)
 			fmt.Printf("delivered     : %d packets in the measurement window\n", res.Delivered)
@@ -179,48 +155,34 @@ func main() {
 	}
 
 	// Job-level workload: N concurrent jobs with per-job statistics.
-	if *jobs != "" {
-		if *ckpt != "" || *restore != "" {
+	if x.Jobs != nil {
+		if o.Checkpoint != "" || o.Restore != "" {
 			fatal("-jobs does not compose with -checkpoint/-restore yet")
 		}
-		w, err := ofar.ParseWorkload(*jobs)
-		if err != nil {
-			fatal("%v", err)
-		}
-		switch strings.ToLower(*jobMap) {
-		case "linear":
-		case "random":
-			w.RandomMap = true
-		default:
-			fatal("unknown job mapping %q (linear, random)", *jobMap)
-		}
-		w.Background = *bg
 		// Jobs carry their own loads; -load is a scale factor on all of
 		// them, applied only when given explicitly (its 0.3 default is the
 		// single-pattern convention, not a sensible implicit job scaling).
 		scale := 1.0
-		flag.Visit(func(f *flag.Flag) {
-			if f.Name == "load" {
-				scale = *load
-			}
-		})
+		if o.Set("load") {
+			scale = *o.load
+		}
 		var (
 			jr     ofar.JobsResult
 			digest uint64
 		)
-		if *traceOut != "" {
+		if *o.traceOut != "" {
 			var recs []ofar.TraceRecord
-			jr, recs, digest, err = ofar.RunJobsTraced(cfg, w, scale, *warmup, *measure)
+			jr, recs, digest, err = ofar.RunJobsTraced(cfg, *x.Jobs, scale, o.Warmup, o.Measure)
 			if err == nil {
-				err = ofar.SaveTrace(*traceOut, recs)
+				err = ofar.SaveTrace(*o.traceOut, recs)
 			}
 		} else {
-			jr, err = ofar.RunJobs(cfg, w, scale, *warmup, *measure)
+			jr, err = ofar.RunJobs(cfg, *x.Jobs, scale, o.Warmup, o.Measure)
 		}
 		if err != nil {
 			fatal("simulation failed: %v", err)
 		}
-		if *quiet {
+		if *o.quiet {
 			for _, j := range jr.Jobs {
 				fmt.Printf("%s,%s,%d,%.2f,%.2f,%.4f,%d,%d\n",
 					jr.Agg.Routing, j.Job, j.Nodes, j.AvgLatency, j.P99Latency, j.Throughput, j.Delivered, j.Dropped)
@@ -236,30 +198,29 @@ func main() {
 					j.Job, j.Nodes, j.AvgLatency, j.P99Latency, j.Throughput, j.Delivered, j.Dropped)
 			}
 		}
-		if *traceOut != "" {
+		if *o.traceOut != "" {
 			fmt.Printf("grant digest  : %016x\n", digest)
-			fmt.Printf("trace written : %s\n", *traceOut)
+			fmt.Printf("trace written : %s\n", *o.traceOut)
 		}
 		return
 	}
 
 	var res ofar.SteadyResult
 	var traceDigest uint64
-	if *traceOut != "" {
-		if *ckpt != "" || *restore != "" {
+	if *o.traceOut != "" {
+		if o.Checkpoint != "" || o.Restore != "" {
 			fatal("-trace-out does not compose with -checkpoint/-restore yet")
 		}
 		var recs []ofar.TraceRecord
-		res, recs, traceDigest, err = ofar.RunSteadyTraced(cfg, ps, *load, *warmup, *measure)
+		res, recs, traceDigest, err = ofar.RunSteadyTraced(cfg, ps, *o.load, o.Warmup, o.Measure)
 		if err != nil {
 			fatal("simulation failed: %v", err)
 		}
-		if err := ofar.SaveTrace(*traceOut, recs); err != nil {
-			fatal("writing trace %s: %v", *traceOut, err)
+		if err := ofar.SaveTrace(*o.traceOut, recs); err != nil {
+			fatal("writing trace %s: %v", *o.traceOut, err)
 		}
-	} else if *ckpt == "" && *restore == "" {
-		var err error
-		res, err = ofar.RunSteady(cfg, ps, *load, *warmup, *measure)
+	} else if o.Checkpoint == "" && o.Restore == "" {
+		res, err = ofar.RunSteady(cfg, ps, *o.load, o.Warmup, o.Measure)
 		if err != nil {
 			fatal("simulation failed: %v", err)
 		}
@@ -267,59 +228,41 @@ func main() {
 		// Checkpoint/restore path: hold the warm state explicitly. A
 		// measurement off it is bit-identical to RunSteady above.
 		var w *ofar.WarmState
-		if *restore != "" {
-			f, err := os.Open(*restore)
+		if o.Restore != "" {
+			f, err := os.Open(o.Restore)
 			if err != nil {
 				fatal("%v", err)
 			}
-			w, err = ofar.WarmFromSnapshot(cfg, ps, *load, f)
+			w, err = ofar.WarmFromSnapshot(cfg, ps, *o.load, f)
 			f.Close()
 			if err != nil {
-				fatal("restoring %s: %v", *restore, err)
+				fatal("restoring %s: %v", o.Restore, err)
 			}
 		} else {
-			var err error
-			w, err = ofar.Warm(cfg, ps, *load, *warmup)
+			w, err = ofar.Warm(cfg, ps, *o.load, o.Warmup)
 			if err != nil {
 				fatal("simulation failed: %v", err)
 			}
 		}
-		if *ckpt != "" {
-			f, err := os.Create(*ckpt)
-			if err != nil {
+		if o.Checkpoint != "" {
+			if err := w.SaveSnapshot(o.Checkpoint); err != nil {
 				w.Close()
-				fatal("%v", err)
-			}
-			err = w.Snapshot(f)
-			if cerr := f.Close(); err == nil {
-				err = cerr
-			}
-			if err != nil {
-				w.Close()
-				fatal("writing checkpoint %s: %v", *ckpt, err)
+				fatal("writing checkpoint %s: %v", o.Checkpoint, err)
 			}
 		}
-		var err error
-		res, err = w.MeasureClose(*measure, nil)
+		res, err = w.MeasureClose(o.Measure, nil)
 		if err != nil {
 			fatal("simulation failed: %v", err)
 		}
 	}
-	if *quiet {
-		fmt.Printf("%s,%s,%.3f,%.2f,%.4f,%d,%d,%d,%d\n",
-			res.Routing, res.Pattern, res.Load, res.AvgLatency, res.Throughput,
-			res.GlobalMisroutes, res.LocalMisroutes, res.RingEnters, res.Delivered)
-		if *traceOut != "" {
+	if *o.quiet {
+		printRow(res)
+		if *o.traceOut != "" {
 			fmt.Printf("grant digest  : %016x\n", traceDigest)
 		}
 		return
 	}
-	numGroups := cfg.Groups
-	if numGroups == 0 {
-		numGroups = cfg.A*cfg.H + 1
-	}
-	fmt.Printf("network       : h=%d (p=%d a=%d groups=%d, %d nodes), %s escape ring x%d\n",
-		*h, cfg.P, cfg.A, numGroups, cfg.P*cfg.A*numGroups, strings.ToLower(*ring), *rings)
+	fmt.Println(networkLine(cfg))
 	fmt.Printf("routing       : %s\n", res.Routing)
 	fmt.Printf("traffic       : %s at %.3f phits/(node*cycle)\n", res.Pattern, res.Load)
 	fmt.Printf("avg latency   : %.1f cycles (network %.1f, max %d)\n",
@@ -334,10 +277,17 @@ func main() {
 		fmt.Printf("faults        : %d scheduled, %d packets dropped, %d fault reroutes, %d flows affected\n",
 			len(cfg.Faults), res.Dropped, res.FaultReroutes, res.AffectedFlows)
 	}
-	if *traceOut != "" {
+	if *o.traceOut != "" {
 		fmt.Printf("grant digest  : %016x\n", traceDigest)
-		fmt.Printf("trace written : %s\n", *traceOut)
+		fmt.Printf("trace written : %s\n", *o.traceOut)
 	}
+}
+
+// printRow prints a steady-state result as the -q CSV row.
+func printRow(res ofar.SteadyResult) {
+	fmt.Printf("%s,%s,%.3f,%.2f,%.4f,%d,%d,%d,%d\n",
+		res.Routing, res.Pattern, res.Load, res.AvgLatency, res.Throughput,
+		res.GlobalMisroutes, res.LocalMisroutes, res.RingEnters, res.Delivered)
 }
 
 func fatal(format string, args ...any) {

@@ -30,10 +30,7 @@ func main() {
 		"routing", "saturation", "latency@0.1", "misroutes/pkt", "ring-use")
 	for _, rt := range []ofar.Routing{ofar.MIN, ofar.VAL, ofar.PB, ofar.OFARL, ofar.OFAR} {
 		cfg := base
-		cfg.Routing = rt
-		if rt != ofar.OFAR && rt != ofar.OFARL {
-			cfg.Ring = ofar.RingNone // VC-ordered baselines need no escape ring
-		}
+		cfg.SetRouting(rt) // VC-ordered baselines drop the escape ring
 		sat, err := ofar.RunSteady(cfg, ofar.Adv(h), 1.0, 3000, 5000)
 		if err != nil {
 			log.Fatal(err)

@@ -7,18 +7,6 @@ import (
 	"ofar/internal/traffic"
 )
 
-// idleConfig returns a serial test configuration for one routing mechanism,
-// covering the VC requirements of every engine (PAR needs the extra
-// source-group hop VC).
-func idleConfig(rt Routing) Config {
-	cfg := testConfig(rt)
-	if rt == PAR {
-		cfg.Ring = RingNone
-		cfg.LocalVCs, cfg.InjVCs = 4, 4
-	}
-	return cfg
-}
-
 // requireIdlePurity calls Cycle directly on every router of a quiescent
 // network and requires the call to be side-effect-free: no grants, no RNG
 // draws, no arbiter LRS movement, no buffer/credit/occupancy change (all
@@ -57,7 +45,7 @@ func requireIdlePurity(t *testing.T, n *Network) {
 func TestIdleCycleIsPure(t *testing.T) {
 	for _, rt := range []Routing{MIN, VAL, PB, UGAL, PAR, OFAR, OFARL} {
 		t.Run(string(rt), func(t *testing.T) {
-			cfg := idleConfig(rt)
+			cfg := testConfig(rt)
 			n := mustNet(t, cfg)
 			requireIdlePurity(t, n)
 

@@ -17,8 +17,8 @@ import (
 type RingMode int
 
 const (
-	// RingNone disables the escape network (only safe for mechanisms with
-	// VC-ordered deadlock avoidance: MIN, VAL, PB, UGAL).
+	// RingNone disables the escape network (only safe for the mechanisms
+	// with VC-ordered deadlock avoidance; see Config.SetRouting).
 	RingNone RingMode = iota
 	// RingPhysical adds dedicated ring ports and links to every router.
 	RingPhysical
@@ -35,6 +35,18 @@ func (m RingMode) String() string {
 	default:
 		return "none"
 	}
+}
+
+// Set parses a ring mode's String form, case-insensitively; with String it
+// makes *RingMode a flag.Value.
+func (m *RingMode) Set(s string) error {
+	for v := RingNone; v <= RingEmbedded; v++ {
+		if strings.EqualFold(s, v.String()) {
+			*m = v
+			return nil
+		}
+	}
+	return fmt.Errorf("unknown ring mode %q (none, physical, embedded)", s)
 }
 
 // Routing names a routing mechanism.
@@ -282,6 +294,22 @@ func (c *Config) groupsF() float64 {
 // networks charge each network this width.
 func (c *Config) PoolWidth() int {
 	return max(1, min(c.Workers, c.groups()))
+}
+
+// SetRouting selects a routing mechanism with the resources Validate
+// requires of it: the VC-ordered mechanisms (MIN, VAL, PB, UGAL-L, PAR) run
+// without an escape ring, PAR gets at least 4 local/injection VCs, and OFAR
+// and OFAR-L keep the configured ring. Every front-end applies this rule.
+func (c *Config) SetRouting(r Routing) {
+	c.Routing = r
+	switch r {
+	case MIN, VAL, PB, UGAL, PAR:
+		c.Ring = RingNone
+	}
+	if r == PAR {
+		c.LocalVCs = max(c.LocalVCs, 4)
+		c.InjVCs = max(c.InjVCs, 4)
+	}
 }
 
 // Validate reports the first configuration error.

@@ -208,10 +208,7 @@ func TestStaticThresholdPolicy(t *testing.T) {
 // TestPAREndToEnd: the PAR extension delivers under uniform and adversarial
 // traffic with its 4-local-VC requirement.
 func TestPAREndToEnd(t *testing.T) {
-	cfg := DefaultConfig(2)
-	cfg.Routing = PAR
-	cfg.Ring = RingNone
-	cfg.LocalVCs, cfg.InjVCs = 4, 4
+	cfg := testConfig(PAR)
 	n := mustNet(t, cfg)
 	n.SetGenerator(traffic.NewBernoulli(traffic.NewAdv(n.Topo, 2), 0.5, cfg.PacketSize))
 	n.Run(6000)

@@ -46,10 +46,7 @@ func TestHopBoundPBUGAL(t *testing.T) {
 }
 
 func TestHopBoundPAR(t *testing.T) {
-	cfg := DefaultConfig(2)
-	cfg.Routing = PAR
-	cfg.Ring = RingNone
-	cfg.LocalVCs, cfg.InjVCs = 4, 4
+	cfg := testConfig(PAR)
 	maxT, _, _ := maxHopsRun(t, cfg, 0.3)
 	// PAR path: l - l - g - l - g - l = 6 hops max.
 	if maxT > 6 {

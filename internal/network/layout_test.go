@@ -1,6 +1,7 @@
 package network
 
 import (
+	"bytes"
 	"sort"
 	"testing"
 	"unsafe"
@@ -26,6 +27,39 @@ func TestPacketLayout(t *testing.T) {
 			if addr := uintptr(unsafe.Pointer(pool.Get())); addr%line != 0 {
 				t.Fatalf("packet %d of a fresh pool at %#x, not %d-byte aligned", i, addr, line)
 			}
+		}
+	})
+	t.Run("restored-alignment", func(t *testing.T) {
+		// A restored network carves its in-network packets from the same
+		// per-group pools, so they are line-aligned like fresh ones; the
+		// allocation path leaves the snapshot image unchanged.
+		parent := snapNet(t, snapCfg(0, false), 0.6)
+		parent.Run(300)
+		fork, err := parent.Fork()
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(fork.Close)
+		if !bytes.Equal(snapshotBytes(t, parent), snapshotBytes(t, fork)) {
+			t.Fatal("restored network's snapshot image differs from the original's")
+		}
+		seen := 0
+		check := func(p *packet.Packet) {
+			seen++
+			if addr := uintptr(unsafe.Pointer(p)); addr%line != 0 {
+				t.Fatalf("restored packet %d at %#x, not %d-byte aligned", p.ID, addr, line)
+			}
+		}
+		for _, r := range fork.Routers {
+			r.ForEachPacket(check)
+		}
+		for _, pq := range fork.pending {
+			for _, p := range pq.q[pq.head:] {
+				check(p)
+			}
+		}
+		if seen == 0 {
+			t.Fatal("no packets in the restored network")
 		}
 	})
 	t.Run("hop-sum", func(t *testing.T) {

@@ -12,10 +12,7 @@ import (
 // for test speed.
 func testConfig(rt Routing) Config {
 	cfg := DefaultConfig(2)
-	cfg.Routing = rt
-	if rt == MIN || rt == VAL || rt == PB || rt == UGAL {
-		cfg.Ring = RingNone
-	}
+	cfg.SetRouting(rt)
 	return cfg
 }
 
@@ -60,6 +57,49 @@ func TestConfigValidation(t *testing.T) {
 	cfg.OFAR.EscapeTimeout = -1
 	if err := cfg.Validate(); err != nil {
 		t.Errorf("explicitly unprotected OFAR rejected: %v", err)
+	}
+}
+
+// TestSetRouting pins the routing rule every front-end applies: the
+// VC-ordered mechanisms drop the escape ring, PAR gets at least 4
+// local/injection VCs, OFAR keeps its ring, and each result validates.
+func TestSetRouting(t *testing.T) {
+	for _, tc := range []struct {
+		rt           Routing
+		ring         RingMode
+		local, inj   int
+		fromL, fromI int
+	}{
+		{MIN, RingNone, 3, 3, 3, 3},
+		{VAL, RingNone, 3, 3, 3, 3},
+		{PB, RingNone, 3, 3, 3, 3},
+		{UGAL, RingNone, 3, 3, 3, 3},
+		{PAR, RingNone, 4, 4, 3, 3},
+		{PAR, RingNone, 6, 4, 6, 2}, // raised to at least 4, never lowered
+		{OFAR, RingEmbedded, 3, 3, 3, 3},
+		{OFARL, RingEmbedded, 3, 3, 3, 3},
+	} {
+		cfg := DefaultConfig(2)
+		cfg.Ring = RingEmbedded
+		cfg.LocalVCs, cfg.InjVCs = tc.fromL, tc.fromI
+		cfg.SetRouting(tc.rt)
+		if cfg.Routing != tc.rt || cfg.Ring != tc.ring || cfg.LocalVCs != tc.local || cfg.InjVCs != tc.inj {
+			t.Errorf("SetRouting(%s) from %d/%d VCs: routing %s ring %v VCs %d/%d, want ring %v VCs %d/%d",
+				tc.rt, tc.fromL, tc.fromI, cfg.Routing, cfg.Ring, cfg.LocalVCs, cfg.InjVCs, tc.ring, tc.local, tc.inj)
+		}
+		if err := cfg.Validate(); err != nil {
+			t.Errorf("SetRouting(%s): %v", tc.rt, err)
+		}
+	}
+	for m := RingNone; m <= RingEmbedded; m++ {
+		var got RingMode
+		if err := got.Set(strings.ToUpper(m.String())); err != nil || got != m {
+			t.Errorf("Set(%q) = %v, %v", m, got, err)
+		}
+	}
+	var m RingMode
+	if err := m.Set("torus"); err == nil {
+		t.Error("Set accepted an unknown ring mode")
 	}
 }
 

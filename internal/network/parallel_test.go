@@ -71,10 +71,7 @@ func TestParallelEngineMatchesSerial(t *testing.T) {
 		name := string(tc.routing) + "/" + tc.traffic
 		t.Run(name, func(t *testing.T) {
 			base := DefaultConfig(3)
-			base.Routing = tc.routing
-			if tc.routing != OFAR && tc.routing != OFARL {
-				base.Ring = RingNone
-			}
+			base.SetRouting(tc.routing)
 			mk := func(workers int, noSched bool) *Network {
 				cfg := base
 				cfg.Workers = workers

@@ -462,8 +462,8 @@ func (n *Network) decodePayload(d *simcore.Dec) error {
 	table := make(map[uint64]*packet.Packet, min(nPkts, 4096))
 	var prevID uint64
 	for i := 0; i < nPkts; i++ {
-		p := new(packet.Packet)
-		id := n.decodePacket(d, p)
+		var dec packet.Packet
+		id := n.decodePacket(d, &dec)
 		if d.Err() != nil {
 			return d.Err()
 		}
@@ -476,6 +476,9 @@ func (n *Network) decodePayload(d *simcore.Dec) error {
 			return d.Err()
 		}
 		prevID = id
+		// Carve from the source group's pool, where delivery returns it.
+		p := n.poolG[dec.SrcGroup].GetBlank()
+		*p = dec
 		table[id] = p
 	}
 	lookup := func(id uint64) (*packet.Packet, error) {

@@ -145,22 +145,10 @@ type Pool struct {
 // packet carved from it starts on a cache-line boundary.
 const poolBlock = 512
 
-// Get returns a zeroed packet with a fresh ID.
+// Get returns a zeroed packet with a fresh ID: GetBlank + NextID.
 func (pl *Pool) Get() *Packet {
-	var p *Packet
-	if n := len(pl.free); n > 0 {
-		p = pl.free[n-1]
-		pl.free = pl.free[:n-1]
-	} else {
-		if len(pl.block) == 0 {
-			pl.block = make([]Packet, poolBlock)
-		}
-		p = &pl.block[0]
-		pl.block = pl.block[1:]
-	}
-	p.Reset()
-	pl.next++
-	p.ID = pl.next
+	p := pl.GetBlank()
+	p.ID = pl.NextID()
 	return p
 }
 
@@ -187,7 +175,7 @@ func (pl *Pool) GetBlank() *Packet {
 }
 
 // NextID advances the run-wide ID sequence and returns the fresh ID. Pairs
-// with GetBlank; Get is equivalent to GetBlank + NextID on one pool.
+// with GetBlank.
 func (pl *Pool) NextID() ID {
 	pl.next++
 	return pl.next

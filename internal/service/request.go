@@ -1,27 +1,30 @@
 package service
 
 import (
+	"cmp"
 	"fmt"
 	"hash/fnv"
 	"math"
-	"strings"
 
 	"ofar"
 )
 
 // Request is one experiment submission: a configuration (explicit, or the
-// paper's DefaultConfig(h) with optional routing/seed overrides — the same
-// shorthand the sweep CLI offers), a traffic pattern, a list of offered
-// loads, and the warm-up/measurement window. Each (config, pattern, load)
-// triple is one independently cacheable point.
+// paper's DefaultConfig(h)) with optional routing and seed overrides, a
+// traffic pattern or job set, a list of offered loads, and the
+// warm-up/measurement window. Each (config, traffic, load) triple is one
+// independently cacheable point. A request resolves through ofar.Resolve,
+// like the commands' flags: the request and the equivalent flags name the
+// same configuration and the same cache keys.
 type Request struct {
 	// H builds the paper's DefaultConfig(h) when Config is absent (default 3).
 	H int `json:"h,omitempty"`
-	// Config, when present, is used verbatim (then Routing/Seed still apply).
+	// Config, when present, is the base configuration; Routing and Seed
+	// still override it.
 	Config *ofar.Config `json:"config,omitempty"`
 	// Routing overrides the mechanism (MIN, VAL, PB, UGAL-L, PAR, OFAR,
-	// OFAR-L), with the CLI's conventions: baselines drop the escape ring,
-	// PAR gets its 4 local/injection VCs.
+	// OFAR-L) through Config.SetRouting: the VC-ordered mechanisms drop the
+	// escape ring, PAR gets at least 4 local/injection VCs.
 	Routing string `json:"routing,omitempty"`
 	// Seed overrides the RNG seed (part of the cache key: different seeds
 	// are different experiments).
@@ -45,27 +48,16 @@ type Request struct {
 	Background float64 `json:"background,omitempty"`
 }
 
-// resolved is a fully canonicalized request: a validated configuration and
-// pattern plus defaulted windows. Everything that determines the simulation
-// is in here; everything that doesn't (field order, absent-vs-zero JSON,
-// wall-clock execution settings) has been normalized away.
+// resolved is a fully canonicalized request: the resolved experiment plus
+// defaulted windows. Everything that determines the simulation is in here;
+// everything that doesn't (field order, absent-vs-zero JSON, wall-clock
+// execution settings) has been normalized away.
 type resolved struct {
-	cfg     ofar.Config
-	ps      ofar.PatternSpec
-	jobs    *ofar.Workload // non-nil for job-set requests; ps is then unused
-	loads   []float64      // offered loads, or scale factors for job sets
+	ofar.Resolved
+	loads   []float64 // offered loads, or scale factors for job sets
 	warmup  int
 	measure int
-	canon   []byte // CanonicalConfigJSON(cfg)
-}
-
-// patternName returns the cache-key pattern component: the workload's
-// canonical name for job-set requests, the pattern label otherwise.
-func (r *resolved) patternName() string {
-	if r.jobs != nil {
-		return r.jobs.Name()
-	}
-	return r.ps.Name()
+	canon   []byte // CanonicalConfigJSON(Config)
 }
 
 const (
@@ -79,69 +71,27 @@ const (
 	maxWorkers = 64
 )
 
+// resolveRequest resolves a request through ofar.Resolve, then applies the
+// service's own defaults and caps.
 func resolveRequest(req Request, maxLoads int) (resolved, error) {
 	var r resolved
-	if req.Config != nil {
-		r.cfg = *req.Config
-	} else {
-		h := req.H
-		if h == 0 {
-			h = 3
-		}
-		if h < 1 || h > 8 {
-			return r, fmt.Errorf("h %d outside [1,8]", h)
-		}
-		r.cfg = ofar.DefaultConfig(h)
+	h := cmp.Or(req.H, 3)
+	if req.Config == nil && (h < 1 || h > 8) {
+		return r, fmt.Errorf("h %d outside [1,8]", h)
 	}
-	if req.Seed != nil {
-		r.cfg.Seed = *req.Seed
-	}
-	if req.Routing != "" {
-		r.cfg.Routing = ofar.Routing(strings.ToUpper(strings.TrimSpace(req.Routing)))
-		if r.cfg.Routing == ofar.PAR && (r.cfg.LocalVCs < 4 || r.cfg.InjVCs < 4) {
-			r.cfg.LocalVCs, r.cfg.InjVCs = 4, 4
-		}
-		switch r.cfg.Routing {
-		case ofar.MIN, ofar.VAL, ofar.PB, ofar.UGAL, ofar.PAR:
-			r.cfg.Ring = ofar.RingNone
-		}
-	}
-	if r.cfg.Workers > maxWorkers {
-		return r, fmt.Errorf("workers %d exceeds the service cap %d", r.cfg.Workers, maxWorkers)
-	}
-	if err := r.cfg.Validate(); err != nil {
+	x, err := ofar.Resolve(ofar.Experiment{
+		Config: req.Config, H: h, Routing: req.Routing, Seed: req.Seed,
+		Pattern: req.Pattern, Jobs: req.Jobs, JobMap: req.JobMap, Background: req.Background,
+	})
+	if err != nil {
 		return r, err
 	}
-	if req.Jobs != "" {
-		if req.Pattern != "" {
-			return r, fmt.Errorf("pattern and jobs are mutually exclusive")
-		}
-		w, err := ofar.ParseWorkload(req.Jobs)
-		if err != nil {
-			return r, fmt.Errorf("parsing jobs: %w", err)
-		}
-		switch strings.ToLower(strings.TrimSpace(req.JobMap)) {
-		case "", "linear":
-		case "random":
-			w.RandomMap = true
-		default:
-			return r, fmt.Errorf("job_map %q: want linear or random", req.JobMap)
-		}
-		if math.IsNaN(req.Background) || math.IsInf(req.Background, 0) || req.Background < 0 || req.Background > 2 {
-			return r, fmt.Errorf("background %v outside [0, 2]", req.Background)
-		}
-		w.Background = req.Background
-		r.jobs = &w
-	} else {
-		pat := req.Pattern
-		if pat == "" {
-			pat = "UN"
-		}
-		ps, err := ofar.ParsePattern(pat, r.cfg.H)
-		if err != nil {
-			return r, err
-		}
-		r.ps = ps
+	r.Resolved = x
+	if r.Config.Workers > maxWorkers {
+		return r, fmt.Errorf("workers %d exceeds the service cap %d", r.Config.Workers, maxWorkers)
+	}
+	if r.Jobs != nil && req.Background > 2 {
+		return r, fmt.Errorf("background %v outside [0, 2]", req.Background)
 	}
 	if len(req.Loads) == 0 {
 		return r, fmt.Errorf("loads must name at least one offered load")
@@ -155,26 +105,16 @@ func resolveRequest(req Request, maxLoads int) (resolved, error) {
 		}
 	}
 	r.loads = req.Loads
-	r.warmup = req.Warmup
-	if r.warmup == 0 {
-		r.warmup = defaultWarmup
-	}
-	r.measure = req.Measure
-	if r.measure == 0 {
-		r.measure = defaultMeasure
-	}
+	r.warmup = cmp.Or(req.Warmup, defaultWarmup)
+	r.measure = cmp.Or(req.Measure, defaultMeasure)
 	if r.warmup < 0 || r.measure < 1 {
 		return r, fmt.Errorf("warmup/measure must be ≥ 0 / ≥ 1")
 	}
 	if r.warmup+r.measure > maxCycles {
 		return r, fmt.Errorf("warmup+measure %d exceeds the service cap %d cycles", r.warmup+r.measure, maxCycles)
 	}
-	canon, err := ofar.CanonicalConfigJSON(r.cfg)
-	if err != nil {
-		return r, err
-	}
-	r.canon = canon
-	return r, nil
+	r.canon, err = ofar.CanonicalConfigJSON(r.Config)
+	return r, err
 }
 
 // pointKey is the cache identity of one sweep point: FNV-1a over the

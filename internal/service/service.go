@@ -212,7 +212,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 
 	keys := make([]uint64, len(res.loads))
 	for i, l := range res.loads {
-		keys[i] = pointKey(res.canon, res.patternName(), l, res.warmup, res.measure, s.digest)
+		keys[i] = pointKey(res.canon, res.TrafficName(), l, res.warmup, res.measure, s.digest)
 	}
 
 	// Admission: count the points that would create NEW work — not cached,
@@ -329,11 +329,11 @@ func (s *Server) point(rs *reqState, res resolved, key uint64, index int) PointR
 			rerr error
 		)
 		done := make(chan struct{})
-		s.pool.Submit(res.cfg.PoolWidth(), func() {
+		s.pool.Submit(res.Config.PoolWidth(), func() {
 			defer close(done)
 			t0 := time.Now()
-			if res.jobs != nil {
-				r, err := s.jobsRun(res.cfg, *res.jobs, res.loads[index], res.warmup, res.measure)
+			if res.Jobs != nil {
+				r, err := s.jobsRun(res.Config, *res.Jobs, res.loads[index], res.warmup, res.measure)
 				s.met.observeSim(time.Since(t0))
 				if err != nil {
 					rerr = err
@@ -342,7 +342,7 @@ func (s *Server) point(rs *reqState, res resolved, key uint64, index int) PointR
 				out, rerr = json.Marshal(r)
 				return
 			}
-			r, restored, err := s.runner(res.cfg, res.ps, res.loads[index], res.warmup, res.measure, s.sweepOptions())
+			r, restored, err := s.runner(res.Config, res.Pattern, res.loads[index], res.warmup, res.measure, s.sweepOptions())
 			s.met.observeSim(time.Since(t0))
 			if err != nil {
 				rerr = err

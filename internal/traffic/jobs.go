@@ -2,6 +2,7 @@ package traffic
 
 import (
 	"fmt"
+	"math"
 	"strings"
 
 	"ofar/internal/packet"
@@ -90,6 +91,9 @@ type JobSet struct {
 	emitted []int64 // slot -> packets emitted (mutable progress state)
 }
 
+// validLoad reports whether v is a usable offered load: finite and ≥ 0.
+func validLoad(v float64) bool { return v >= 0 && !math.IsInf(v, 1) }
+
 // NewJobSet places the jobs onto the topology. Jobs are placed in order:
 // under MapLinear job i occupies the nodes right after job i-1's range;
 // under MapRandom the ranges index a permutation of all nodes derived from
@@ -103,16 +107,16 @@ func NewJobSet(d *topology.Dragonfly, cfg JobSetConfig) (*JobSet, error) {
 	if cfg.PacketSize < 1 {
 		return nil, fmt.Errorf("traffic: job set packet size %d < 1", cfg.PacketSize)
 	}
-	if cfg.Background < 0 {
-		return nil, fmt.Errorf("traffic: negative background load %v", cfg.Background)
+	if !validLoad(cfg.Background) {
+		return nil, fmt.Errorf("traffic: background load %v is not a finite load ≥ 0", cfg.Background)
 	}
 	total := 0
 	for i, j := range cfg.Jobs {
 		if j.Nodes < 1 {
 			return nil, fmt.Errorf("traffic: job %d has %d nodes", i, j.Nodes)
 		}
-		if j.Load < 0 {
-			return nil, fmt.Errorf("traffic: job %d has negative load %v", i, j.Load)
+		if !validLoad(j.Load) {
+			return nil, fmt.Errorf("traffic: job %d load %v is not a finite load ≥ 0", i, j.Load)
 		}
 		if j.Kind == JobStencil {
 			x, y, z := j.Dims[0], j.Dims[1], j.Dims[2]

@@ -1,6 +1,7 @@
 package traffic
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -206,6 +207,10 @@ func TestJobSetValidation(t *testing.T) {
 		"overflow":     {Jobs: []JobSpec{{Kind: JobAll2All, Nodes: d.Nodes + 1, Load: 0.1}}, PacketSize: 8},
 		"bad psize":    {Jobs: []JobSpec{{Kind: JobAll2All, Nodes: 4, Load: 0.1}}},
 		"neg backgrnd": {Jobs: []JobSpec{{Kind: JobAll2All, Nodes: 4, Load: 0.1}}, Background: -1, PacketSize: 8},
+		"nan load":     {Jobs: []JobSpec{{Kind: JobAll2All, Nodes: 4, Load: math.NaN()}}, PacketSize: 8},
+		"inf load":     {Jobs: []JobSpec{{Kind: JobAll2All, Nodes: 4, Load: math.Inf(1)}}, PacketSize: 8},
+		"nan backgrnd": {Jobs: []JobSpec{{Kind: JobAll2All, Nodes: 4, Load: 0.1}}, Background: math.NaN(), PacketSize: 8},
+		"inf backgrnd": {Jobs: []JobSpec{{Kind: JobAll2All, Nodes: 4, Load: 0.1}}, Background: math.Inf(1), PacketSize: 8},
 	} {
 		if _, err := NewJobSet(d, cfg); err == nil {
 			t.Errorf("%s: accepted, want error", name)

@@ -109,8 +109,7 @@ func TestRunSteadyRejectsBadConfig(t *testing.T) {
 
 func TestRunLoadSweep(t *testing.T) {
 	cfg := DefaultConfig(2)
-	cfg.Routing = MIN
-	cfg.Ring = RingNone
+	cfg.SetRouting(MIN)
 	loads := []float64{0.1, 0.3}
 	rs, err := RunLoadSweep(cfg, Uniform(), loads, 500, 1500)
 	if err != nil {
@@ -181,8 +180,7 @@ func TestRunBurstDrains(t *testing.T) {
 
 func TestSaturationLoad(t *testing.T) {
 	cfg := DefaultConfig(2)
-	cfg.Routing = MIN
-	cfg.Ring = RingNone
+	cfg.SetRouting(MIN)
 	sat, err := SaturationLoad(cfg, Uniform(), 1000, 2000)
 	if err != nil {
 		t.Fatal(err)

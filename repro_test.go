@@ -9,10 +9,7 @@ import "testing"
 
 func steadyCfg(rt Routing) Config {
 	cfg := DefaultConfig(3)
-	cfg.Routing = rt
-	if rt == MIN || rt == VAL || rt == PB || rt == UGAL {
-		cfg.Ring = RingNone
-	}
+	cfg.SetRouting(rt)
 	return cfg
 }
 

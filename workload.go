@@ -81,7 +81,8 @@ func ParseWorkload(s string) (Workload, error) {
 			return w, fmt.Errorf("job %q: missing @load", part)
 		}
 		var err error
-		if j.Load, err = strconv.ParseFloat(loadStr, 64); err != nil || j.Load < 0 {
+		j.Load, err = strconv.ParseFloat(loadStr, 64)
+		if err != nil || math.IsNaN(j.Load) || math.IsInf(j.Load, 0) || j.Load < 0 {
 			return w, fmt.Errorf("job %q: bad load %q", part, loadStr)
 		}
 		if j.Kind == "stencil" {

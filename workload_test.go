@@ -43,6 +43,9 @@ func TestParseWorkload(t *testing.T) {
 		"a2a:8",                    // missing load
 		"a2a:0@0.5",                // zero size
 		"a2a:8@-0.1",               // negative load
+		"a2a:16@NaN",               // NaN load
+		"ring:8@Inf",               // infinite load
+		"a2a:16@0.5,ring:8@+Inf",   // one infinite load among finite ones
 		"stencil:4x4@0.3",          // 2-D grid
 		"stencil:2x0x2@0.3",        // zero dimension
 		"ring:8@0.2:500",           // lifetime missing end
